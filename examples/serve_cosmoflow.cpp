@@ -1,5 +1,5 @@
-// Serving: stand up the micro-batching inference service (SERVING.md)
-// over one shared network, submit a handful of concurrent requests,
+// Serving: stand up the inference service (SERVING.md) over one
+// shared network, submit a handful of concurrent requests,
 // and read back predictions plus the serve/* metrics a production
 // exporter would scrape.
 //
@@ -7,8 +7,7 @@
 // setup; pass --checkpoint=PATH (from train_cosmoflow) to serve
 // trained weights.
 //
-//   ./examples/serve_cosmoflow [--dhw=16] [--workers=2]
-//       [--max-batch=4] [--max-delay-us=2000] [--requests=8]
+//   ./examples/serve_cosmoflow [--dhw=16] [--workers=2] [--requests=8]
 //       [--precision=fp32|bf16|int8w] [--checkpoint=PATH]
 #include <cstdio>
 #include <future>
@@ -29,8 +28,7 @@ int main(int argc, char** argv) {
   using namespace cf;
   const examples::Flags flags(
       argc, argv,
-      "usage: serve_cosmoflow [--dhw=16] [--workers=2] [--max-batch=4] "
-      "[--max-delay-us=2000] [--requests=8] "
+      "usage: serve_cosmoflow [--dhw=16] [--workers=2] [--requests=8] "
       "[--precision=fp32|bf16|int8w] [--checkpoint=PATH]");
 
   const std::int64_t dhw = flags.get_int("dhw", 16);
@@ -58,20 +56,14 @@ int main(int argc, char** argv) {
 
   serve::ServerConfig config;
   config.workers = static_cast<std::size_t>(flags.get_int("workers", 2));
-  config.max_batch =
-      static_cast<std::size_t>(flags.get_int("max-batch", 4));
-  config.max_delay_seconds =
-      flags.get_double("max-delay-us", 2000.0) * 1e-6;
   config.precision = precision;
   serve::Server server(network, config);
-  std::printf("serving %s: %zu workers, max batch %zu, max delay "
-              "%.0f us, queue %zu, %s inference\n\n",
-              topology.name.c_str(), config.workers, config.max_batch,
-              config.max_delay_seconds * 1e6, config.queue_capacity,
+  std::printf("serving %s: %zu workers, queue %zu, %s inference\n\n",
+              topology.name.c_str(), config.workers, config.queue_capacity,
               dnn::to_string(config.precision).data());
 
-  // Fire all requests before reading any result — submitted this
-  // close together they coalesce into micro-batches.
+  // Fire all requests before reading any result, so the workers run
+  // them concurrently.
   std::vector<std::future<serve::InferenceResult>> futures;
   runtime::Rng rng(101);
   for (std::size_t i = 0; i < requests; ++i) {
@@ -88,30 +80,27 @@ int main(int argc, char** argv) {
     futures.push_back(std::move(future));
   }
 
-  std::printf("%4s | %7s %7s %7s | %6s %6s | %12s\n", "req", "OmegaM",
-              "sigma8", "ns", "batch", "worker", "latency");
+  std::printf("%4s | %7s %7s %7s | %6s | %12s\n", "req", "OmegaM",
+              "sigma8", "ns", "worker", "latency");
   for (auto& future : futures) {
     const serve::InferenceResult r = future.get();
     const cosmo::CosmoParams params = cosmo::denormalize_params(
         {r.output[0], r.output[1], r.output[2]});
-    std::printf("%4llu | %7.4f %7.4f %7.4f | %6zu %6zu | %9.2f ms\n",
+    std::printf("%4llu | %7.4f %7.4f %7.4f | %6zu | %9.2f ms\n",
                 static_cast<unsigned long long>(r.request_id),
-                params.omega_m, params.sigma8, params.ns, r.batch_size,
-                r.worker, r.total_seconds * 1e3);
+                params.omega_m, params.sigma8, params.ns, r.worker,
+                r.total_seconds * 1e3);
   }
   server.shutdown();
 
   // The metrics the service exported while it ran (OBSERVABILITY.md).
   auto& reg = obs::Registry::global();
   const auto latency = reg.histogram("serve/latency").snapshot();
-  std::printf("\nserve/accepted %lld, serve/completed %lld, "
-              "serve/batches %lld, mean fill %.2f, latency p50 %.2f ms "
-              "p99 %.2f ms\n",
+  std::printf("\nserve/accepted %lld, serve/completed %lld, latency p50 "
+              "%.2f ms p99 %.2f ms\n",
               static_cast<long long>(reg.counter("serve/accepted").value()),
               static_cast<long long>(
                   reg.counter("serve/completed").value()),
-              static_cast<long long>(reg.counter("serve/batches").value()),
-              reg.stat("serve/batch_fill").snapshot().mean(),
               latency.percentile(0.5) * 1e3,
               latency.percentile(0.99) * 1e3);
   return 0;

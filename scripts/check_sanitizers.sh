@@ -17,8 +17,8 @@
 #           dispatch, the overlapped trainer step loop, the Context
 #           suite's concurrent inference streams sharing one immutable
 #           Network, and the serving path (client threads -> request
-#           queue -> batch former -> worker streams) via the Serve
-#           suites plus a bench_serve --smoke traffic run.
+#           queue -> worker streams) via the Serve suites, whose racing
+#           clients run fp32, bf16 and cost-model auto worker layouts.
 #   ubsan — pointer-arithmetic-heavy paths: fused conv/dense epilogue
 #           kernels, blocked optimizer sweeps, layout/reorder code.
 #
@@ -92,20 +92,6 @@ run_one() {
 
   env "$env_name=$env_value" \
     "$build_dir/tests/cosmoflow_tests" --gtest_filter="$filter"
-
-  # The serving path under real traffic: three short traffic phases
-  # with client, former and worker threads all live at once. The third
-  # run exercises the cost-model auto mode (--threads-per-worker=0):
-  # plan resolution in the Server constructor plus grain-carrying
-  # worker contexts, under the same concurrent traffic.
-  if [ "$san" = "tsan" ]; then
-    cmake --build "$build_dir" --target bench_serve -j "$(nproc)"
-    env "$env_name=$env_value" "$build_dir/bench/bench_serve" --smoke
-    env "$env_name=$env_value" "$build_dir/bench/bench_serve" --smoke \
-      --precision=bf16
-    env "$env_name=$env_value" "$build_dir/bench/bench_serve" --smoke \
-      --threads-per-worker=0
-  fi
 
   # The whole zero-copy data path under instrumentation: mmap parse,
   # CRC kernels, pooled ring, end-to-end byte-identity check across the

@@ -29,38 +29,14 @@ SubmitStatus RequestQueue::try_push(Request&& request) {
   return SubmitStatus::kAccepted;
 }
 
-RequestQueue::PopStatus RequestQueue::pop(
-    Request* out, std::chrono::steady_clock::time_point deadline) {
-  return pop_impl(out, /*has_deadline=*/true, deadline);
-}
-
-RequestQueue::PopStatus RequestQueue::pop(Request* out) {
-  return pop_impl(out, /*has_deadline=*/false, {});
-}
-
-RequestQueue::PopStatus RequestQueue::pop_impl(
-    Request* out, bool has_deadline,
-    std::chrono::steady_clock::time_point deadline) {
+bool RequestQueue::pop(Request* out) {
   std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    if (!items_.empty()) {
-      *out = std::move(items_.front());
-      items_.pop_front();
-      update_gauge_locked();
-      return PopStatus::kItem;
-    }
-    if (closed_) return PopStatus::kClosed;
-    if (has_deadline) {
-      if (not_empty_.wait_until(lock, deadline) ==
-          std::cv_status::timeout) {
-        // Re-check: a push may have raced the timeout.
-        if (!items_.empty()) continue;
-        return PopStatus::kTimeout;
-      }
-    } else {
-      not_empty_.wait(lock);
-    }
-  }
+  not_empty_.wait(lock, [&] { return !items_.empty() || closed_; });
+  if (items_.empty()) return false;  // closed and drained
+  *out = std::move(items_.front());
+  items_.pop_front();
+  update_gauge_locked();
+  return true;
 }
 
 void RequestQueue::close() {
@@ -74,11 +50,6 @@ void RequestQueue::close() {
 std::size_t RequestQueue::depth() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return items_.size();
-}
-
-bool RequestQueue::closed() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return closed_;
 }
 
 void RequestQueue::update_gauge_locked() {

@@ -1,8 +1,8 @@
 // Bounded MPMC request queue with admission control — the front door
 // of the inference service (SERVING.md).
 //
-// Producers are client threads calling Server::submit(); the consumer
-// is the batch former. The queue never blocks a producer: when depth
+// Producers are client threads calling Server::submit(); the consumers
+// are the worker streams. The queue never blocks a producer: when depth
 // has reached the capacity budget, try_push rejects with a typed
 // Overloaded status instead of queueing unbounded work — the
 // load-shedding half of the paper-era QueueRunner idiom that
@@ -41,10 +41,8 @@ struct InferenceResult {
   std::vector<float> output;  // network output values (e.g. the 3
                               // predicted cosmological parameters)
   std::uint64_t request_id = 0;
-  std::uint64_t batch_id = 0;    // which formed batch executed it
-  std::size_t batch_size = 0;    // how many requests shared that batch
   std::size_t worker = 0;        // worker stream that ran it
-  double queue_seconds = 0.0;    // submit -> worker picked the batch up
+  double queue_seconds = 0.0;    // submit -> a worker popped it
   double compute_seconds = 0.0;  // forward pass on the worker
   double total_seconds = 0.0;    // submit -> result ready
 };
@@ -71,31 +69,18 @@ class RequestQueue {
   /// so the caller can fail its promise.
   SubmitStatus try_push(Request&& request);
 
-  enum class PopStatus {
-    kItem,     // *out holds a request
-    kTimeout,  // deadline passed with the queue empty
-    kClosed,   // closed and fully drained — no request will ever come
-  };
-
-  /// Blocks until a request arrives, `deadline` passes, or the queue
-  /// is closed *and* empty (close drains: queued requests are still
-  /// delivered after close()).
-  PopStatus pop(Request* out, std::chrono::steady_clock::time_point deadline);
-
-  /// Blocks without a deadline (request, or kClosed).
-  PopStatus pop(Request* out);
+  /// Blocks until a request arrives; false once the queue is closed
+  /// *and* empty (close drains: queued requests are still delivered
+  /// after close()).
+  bool pop(Request* out);
 
   /// Stops admission (try_push -> kShutdown) and wakes poppers; queued
   /// requests remain poppable so shutdown can drain in-flight work.
   void close();
 
   std::size_t depth() const;
-  std::size_t capacity() const noexcept { return capacity_; }
-  bool closed() const;
 
  private:
-  PopStatus pop_impl(Request* out, bool has_deadline,
-                     std::chrono::steady_clock::time_point deadline);
   void update_gauge_locked();
 
   mutable std::mutex mutex_;

@@ -1,33 +1,32 @@
-// cf::serve — dynamic micro-batching inference service over the
-// model/stream split (DESIGN.md §2.3, SERVING.md).
+// cf::serve — inference service over the model/stream split
+// (DESIGN.md §2.3, SERVING.md).
 //
 // Pipeline: client threads -> bounded RequestQueue (admission control,
-// typed Overloaded rejection) -> batch former (coalesces requests up
-// to a max-batch-size / deadline budget) -> bounded batch queue
-// (backpressure: when every worker is busy the former stalls, the
-// request queue fills, and admission starts shedding) -> N worker
-// streams, each owning one inference ExecContext and one private
-// ThreadPool over a single shared `shared_ptr<const Network>` — many
-// streams, one weight copy, zero parameter duplication.
+// typed Overloaded rejection) -> N worker streams, each popping
+// requests straight off the queue and running them one at a time. The
+// kernels are batch-1 (paper §III-A), so grouping requests would save
+// no compute. Each worker owns one inference ExecContext and one
+// private ThreadPool over a single shared `shared_ptr<const Network>` —
+// many streams, one weight copy, zero parameter duplication. The queue
+// is the one buffer: while every worker is busy it fills, and once it
+// holds queue_capacity requests admission starts shedding.
 //
 // The serving determinism rule (DESIGN.md §2.4): a request's result is
-// bitwise identical no matter which batch it lands in, which worker
-// runs it, or what ran on that worker's context before — forward() is
-// a pure function of (weights, input) because every kernel reduction
-// is order-deterministic (§2.1) and a context's forward fully
-// overwrites its arenas. tests/serve_test pins this.
+// bitwise identical no matter which worker runs it, what ran on that
+// worker's context before, or what else is in flight — forward() is a
+// pure function of (weights, input) because every kernel reduction is
+// order-deterministic (§2.1) and a context's forward fully overwrites
+// its arenas. tests/serve_test pins this.
 //
 // Everything is instrumented through cf::obs under
 // `<metric_prefix>/…` (default `serve/…`): end-to-end latency
-// histogram (p50/p99/p999), queue-depth and batch-size gauges,
-// accepted/rejected/completed counters. See OBSERVABILITY.md.
+// histogram (p50/p99/p999), queue-depth gauge, accepted/rejected/
+// completed counters. See OBSERVABILITY.md.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -52,15 +51,9 @@ struct ServerConfig {
   /// grains for that width (DESIGN.md §2.6). On a 1-core host auto
   /// resolves to 1 thread per worker.
   std::size_t threads_per_worker = 1;
-  /// Batch former size budget: flush as soon as this many requests
-  /// have been coalesced.
-  std::size_t max_batch = 8;
-  /// Batch former deadline budget, seconds: a batch opened at t is
-  /// flushed no later than t + max_delay_seconds even if underfull.
-  /// 0 = greedy (take whatever is queued right now, never wait).
-  double max_delay_seconds = 2e-3;
   /// Admission budget: submissions beyond this queue depth are
-  /// rejected with SubmitStatus::kOverloaded.
+  /// rejected with SubmitStatus::kOverloaded. Besides the queue, each
+  /// worker holds the one request it is running.
   std::size_t queue_capacity = 64;
   /// obs registry prefix for this server's metrics (reset at
   /// construction, like cf::data::Pipeline's metric_prefix).
@@ -72,9 +65,9 @@ struct ServerConfig {
   dnn::Precision precision = dnn::Precision::kFp32;
 };
 
-/// Micro-batching inference server. Construction spawns the batch
-/// former and the worker streams; shutdown() (or the destructor)
-/// stops admission, drains every in-flight request, and joins.
+/// Inference server. Construction spawns the worker streams;
+/// shutdown() (or the destructor) stops admission, drains every
+/// in-flight request, and joins.
 class Server {
  public:
   Server(std::shared_ptr<const dnn::Network> network, ServerConfig config);
@@ -100,40 +93,11 @@ class Server {
   const dnn::Network& network() const noexcept { return *network_; }
 
  private:
-  /// A formed batch travelling former -> worker.
-  struct Batch {
-    std::uint64_t id = 0;
-    std::vector<Request> requests;
-  };
-
-  /// Bounded former->worker hand-off. push() blocks while full — that
-  /// stall is the backpressure path that fills the RequestQueue and
-  /// trips admission control.
-  class BatchQueue {
-   public:
-    explicit BatchQueue(std::size_t capacity) : capacity_(capacity) {}
-
-    void push(Batch&& batch);
-    /// False when closed and drained.
-    bool pop(Batch* out);
-    void close();
-
-   private:
-    std::mutex mutex_;
-    std::condition_variable not_empty_;
-    std::condition_variable not_full_;
-    std::deque<Batch> items_;
-    const std::size_t capacity_;
-    bool closed_ = false;
-  };
-
-  void former_loop();
   void worker_loop(std::size_t worker_index);
 
   std::shared_ptr<const dnn::Network> network_;
   ServerConfig config_;
   RequestQueue queue_;
-  BatchQueue batch_queue_;
 
   // Cost-model plan applied to every worker context when the config
   // asked for auto threading (threads_per_worker == 0). Resolved once
@@ -145,17 +109,12 @@ class Server {
   obs::Counter* accepted_ = nullptr;
   obs::Counter* rejected_ = nullptr;
   obs::Counter* completed_ = nullptr;
-  obs::Counter* batches_ = nullptr;
-  obs::Gauge* batch_size_gauge_ = nullptr;
-  obs::Stat* batch_fill_stat_ = nullptr;
   obs::Stat* queue_wait_stat_ = nullptr;
   obs::Stat* compute_stat_ = nullptr;
   obs::Histogram* latency_hist_ = nullptr;
 
   std::atomic<std::uint64_t> next_request_id_{0};
-  std::uint64_t next_batch_id_ = 0;  // former thread only
 
-  std::thread former_;
   std::vector<std::thread> workers_;
   std::mutex lifecycle_mutex_;
   bool stopped_ = false;

@@ -69,17 +69,21 @@ TEST_P(AllreduceCorrectness, AveragesAcrossRanks) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, AllreduceCorrectness,
-    ::testing::Values(
-        CommCase{1, 100, AllreduceAlgorithm::kReduceScatter},
-        CommCase{2, 1000, AllreduceAlgorithm::kReduceScatter},
-        CommCase{4, 1000, AllreduceAlgorithm::kReduceScatter},
-        CommCase{8, 257, AllreduceAlgorithm::kReduceScatter},
-        CommCase{3, 7, AllreduceAlgorithm::kReduceScatter},  // n < chunk
-        CommCase{5, 3, AllreduceAlgorithm::kReduceScatter},  // n < nranks
-        CommCase{2, 1000, AllreduceAlgorithm::kCentralRoot},
-        CommCase{7, 513, AllreduceAlgorithm::kCentralRoot}));
+// gtest names each case after the raw bytes of its CommCase, padding
+// included. A static array's padding is zero, so the names are the same
+// in every process; cases built as temporaries carried stack garbage.
+constexpr CommCase kCommCases[] = {
+    {1, 100, AllreduceAlgorithm::kReduceScatter},
+    {2, 1000, AllreduceAlgorithm::kReduceScatter},
+    {4, 1000, AllreduceAlgorithm::kReduceScatter},
+    {8, 257, AllreduceAlgorithm::kReduceScatter},
+    {3, 7, AllreduceAlgorithm::kReduceScatter},  // n < chunk
+    {5, 3, AllreduceAlgorithm::kReduceScatter},  // n < nranks
+    {2, 1000, AllreduceAlgorithm::kCentralRoot},
+    {7, 513, AllreduceAlgorithm::kCentralRoot}};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, AllreduceCorrectness,
+                         ::testing::ValuesIn(kCommCases));
 
 TEST(MlComm, AllreduceIsBitwiseDeterministic) {
   const int nranks = 4;

@@ -442,7 +442,7 @@ TEST(GraphResidual, TrainsAndServes) {
   EXPECT_LT(last_loss, 0.5f * first_loss);
 
   // Serve the trained residual network through cf::serve and check the
-  // batched results against a fresh single-stream reference.
+  // served results against a fresh single-stream reference.
   std::vector<std::vector<float>> expected;
   {
     dnn::ExecContext ref = net->make_context(ExecMode::kInference);
@@ -453,8 +453,6 @@ TEST(GraphResidual, TrainsAndServes) {
   }
   serve::ServerConfig server_config;
   server_config.workers = 2;
-  server_config.max_batch = 2;
-  server_config.max_delay_seconds = 1e-3;
   server_config.metric_prefix = "graph_serve_test";
   serve::Server server(std::shared_ptr<const dnn::Network>(net),
                        server_config);

@@ -331,7 +331,6 @@ TEST(Precision, ServedBf16MatchesSerialBf16Bits) {
 
   serve::ServerConfig config;
   config.workers = 2;
-  config.max_batch = 2;
   config.precision = dnn::Precision::kBf16;
   serve::Server server(network, config);
   EXPECT_EQ(obs::Registry::global().gauge("serve/precision").value(), 1.0);

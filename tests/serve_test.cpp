@@ -1,13 +1,13 @@
-// cf::serve — the micro-batching inference service (SERVING.md).
+// cf::serve — the inference service (SERVING.md).
 //
 // The load-bearing property is the serving determinism rule
 // (DESIGN.md §2.4): a request's result is bitwise identical no matter
-// which batch it lands in, which worker stream runs it, or what ran on
-// that stream before. Everything else pinned here is the service
-// contract: typed Overloaded rejection under load, deadline flush of
-// underfull batches, clean shutdown that drains in-flight work, and an
-// inference context that never reallocates once warm (the property a
-// long-lived server leans on). The TSan gate (scripts/
+// which worker stream runs it, what ran on that stream before, or what
+// else is in flight. Everything else pinned here is the service
+// contract: typed Overloaded rejection under load, a throwing forward
+// that fails only its own request, clean shutdown that drains in-flight
+// work, and an inference context that never reallocates once warm (the
+// property a long-lived server leans on). The TSan gate (scripts/
 // check_sanitizers.sh tsan) runs the Serve* suites.
 #include <gtest/gtest.h>
 
@@ -16,10 +16,12 @@
 #include <future>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/topology.hpp"
+#include "dnn/layer.hpp"
 #include "dnn/network.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/rng.hpp"
@@ -56,10 +58,12 @@ std::vector<Tensor> make_inputs(const dnn::Network& net, std::size_t n,
 }
 
 // Serial single-stream reference: what forward() says outside any
-// server, batching, or threading.
+// server or threading, in `precision`.
 std::vector<std::vector<float>> reference_outputs(
-    const dnn::Network& net, const std::vector<Tensor>& inputs) {
-  dnn::ExecContext ctx = net.make_context(dnn::ExecMode::kInference);
+    const dnn::Network& net, const std::vector<Tensor>& inputs,
+    dnn::Precision precision = dnn::Precision::kFp32) {
+  dnn::ExecContext ctx =
+      net.make_context(dnn::ExecMode::kInference, precision);
   runtime::ThreadPool pool(1);
   std::vector<std::vector<float>> outputs;
   outputs.reserve(inputs.size());
@@ -82,79 +86,19 @@ std::future<InferenceResult> submit_until_accepted(Server& server,
   }
 }
 
-// --- §2.4: batch membership must not change a single output bit. ---
-
-TEST(Serve, BatchMembershipDoesNotChangeOutputBits) {
-  const auto net = make_network(8, 21);
-  const std::vector<Tensor> inputs = make_inputs(*net, 10, 33);
-  const std::vector<std::vector<float>> expected =
-      reference_outputs(*net, inputs);
-
-  // Sweep batching regimes: singleton batches, partial fills, one big
-  // batch, greedy zero-delay, and multi-worker dispatch. Same bits
-  // everywhere.
-  std::vector<ServerConfig> configs(5);
-  configs[0].workers = 1;
-  configs[0].max_batch = 1;
-  configs[0].max_delay_seconds = 0.0;
-  configs[1].workers = 1;
-  configs[1].max_batch = 4;
-  configs[1].max_delay_seconds = 5e-3;
-  configs[2].workers = 1;
-  configs[2].max_batch = 10;
-  configs[2].max_delay_seconds = 20e-3;
-  configs[3].workers = 1;
-  configs[3].max_batch = 8;
-  configs[3].max_delay_seconds = 0.0;  // greedy: take what is queued
-  configs[4].workers = 2;
-  configs[4].threads_per_worker = 2;
-  configs[4].max_batch = 3;
-  configs[4].max_delay_seconds = 1e-3;
-
-  for (std::size_t c = 0; c < configs.size(); ++c) {
-    configs[c].metric_prefix = "serve_test";
-    Server server(net, configs[c]);
-    std::vector<std::future<InferenceResult>> futures;
-    futures.reserve(inputs.size());
-    for (const Tensor& input : inputs) {
-      futures.push_back(submit_until_accepted(server, input));
-    }
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-      InferenceResult result = futures[i].get();
-      EXPECT_EQ(tensor::max_abs_diff(result.output, expected[i]), 0.0f)
-          << "config " << c << " request " << i;
-      EXPECT_GE(result.batch_size, 1u);
-      EXPECT_LE(result.batch_size, configs[c].max_batch);
-      EXPECT_LT(result.worker, configs[c].workers);
-      EXPECT_GE(result.total_seconds, result.compute_seconds);
-    }
-    server.shutdown();
-    auto& reg = obs::Registry::global();
-    EXPECT_EQ(reg.counter("serve_test/completed").value(),
-              static_cast<std::int64_t>(inputs.size()))
-        << "config " << c;
-    EXPECT_EQ(reg.histogram("serve_test/latency").snapshot().count,
-              inputs.size())
-        << "config " << c;
-  }
-}
-
 // --- Admission control: beyond the queue budget, a typed no. ---
 
 TEST(Serve, OverloadedSubmissionsGetTypedRejection) {
   const auto net = make_network(8, 5);
   ServerConfig config;
   config.workers = 1;
-  config.max_batch = 2;
-  config.max_delay_seconds = 50e-3;
   config.queue_capacity = 1;
   config.metric_prefix = "serve_test_bp";
   Server server(net, config);
 
-  // Total absorption before rejection: queue (1) + forming batch (2) +
-  // batch queue (1 batch of 2) + the batch a worker holds (2), plus at
-  // most a couple of batches the worker manages to finish while we
-  // submit. 32 back-to-back submissions must overflow that.
+  // Total absorption before rejection: the queue (1) + the one request
+  // the worker holds (1), plus the few the worker manages to finish
+  // while we submit. 32 back-to-back submissions must overflow that.
   const std::vector<Tensor> inputs = make_inputs(*net, 32, 7);
   std::vector<std::future<InferenceResult>> accepted;
   std::size_t rejected = 0;
@@ -186,93 +130,151 @@ TEST(Serve, OverloadedSubmissionsGetTypedRejection) {
   EXPECT_EQ(accepted.size() + rejected, inputs.size());
 }
 
-// --- Deadline budget: an underfull batch flushes, never starves. ---
-
-TEST(Serve, DeadlineFlushesUnderfullBatches) {
-  const auto net = make_network(8, 9);
-  ServerConfig config;
-  config.workers = 1;
-  config.max_batch = 64;  // far more than we will ever submit
-  config.max_delay_seconds = 10e-3;
-  config.metric_prefix = "serve_test_dl";
-  Server server(net, config);
-
-  const std::vector<Tensor> inputs = make_inputs(*net, 3, 11);
-  std::vector<std::future<InferenceResult>> futures;
-  for (const Tensor& input : inputs) {
-    futures.push_back(submit_until_accepted(server, input));
-  }
-  for (auto& future : futures) {
-    // Without the deadline flush this would hang waiting for 64.
-    InferenceResult result = future.get();
-    EXPECT_LE(result.batch_size, inputs.size());
-  }
-  server.shutdown();
-  const auto fill =
-      obs::Registry::global().stat("serve_test_dl/batch_fill").snapshot();
-  EXPECT_GE(fill.count(), 1u);
-  EXPECT_LE(fill.max(), static_cast<double>(inputs.size()));
-}
-
-// --- Concurrent client threads, multiple worker streams: still the
-// serial bits. The TSan gate runs this test. ---
+// --- Racing client threads, across worker layouts and precisions:
+// still the serial bits. A two-slot queue makes the clients hit
+// kOverloaded and retry. The TSan gate runs this test. ---
 
 TEST(Serve, ConcurrentSubmittersMatchSerialReference) {
   constexpr std::size_t kClients = 4;
   constexpr std::size_t kPerClient = 5;
-  const auto net = make_network(8, 17);
+  // bf16 is prepared before the const handle is taken, as a server
+  // requires; preparing it leaves the fp32 weights untouched.
+  auto mutable_net = std::make_shared<dnn::Network>(
+      core::build_network(core::cosmoflow_scaled(8), 17));
+  mutable_net->prepare_inference_precision(dnn::Precision::kBf16);
+  const std::shared_ptr<const dnn::Network> net = mutable_net;
 
-  // Distinct deterministic inputs per (client, rep).
-  std::vector<std::vector<Tensor>> inputs(kClients);
-  for (std::size_t c = 0; c < kClients; ++c) {
-    runtime::Rng rng(41, static_cast<std::uint64_t>(c));
-    for (std::size_t r = 0; r < kPerClient; ++r) {
-      Tensor input(net->input_shape());
-      tensor::fill_normal(input, rng, 0.0f, 1.0f);
-      inputs[c].push_back(std::move(input));
-    }
-  }
-  std::vector<std::vector<std::vector<float>>> expected(kClients);
-  {
-    dnn::ExecContext ctx = net->make_context(dnn::ExecMode::kInference);
-    runtime::ThreadPool pool(1);
+  // Client c sends inputs[c * kPerClient, (c + 1) * kPerClient).
+  const std::vector<Tensor> inputs =
+      make_inputs(*net, kClients * kPerClient, 41);
+
+  struct Layout {
+    std::size_t workers;
+    std::size_t threads_per_worker;  // 0 = cost-model auto
+    dnn::Precision precision;
+  };
+  const Layout layouts[] = {
+      {1, 1, dnn::Precision::kFp32},
+      {2, 2, dnn::Precision::kFp32},
+      {2, 1, dnn::Precision::kBf16},
+      {3, 0, dnn::Precision::kFp32},
+  };
+  for (const Layout& layout : layouts) {
+    const std::string name =
+        std::to_string(layout.workers) + " workers x " +
+        std::to_string(layout.threads_per_worker) + " threads, " +
+        std::string(dnn::to_string(layout.precision));
+    const std::vector<std::vector<float>> expected =
+        reference_outputs(*net, inputs, layout.precision);
+
+    ServerConfig config;
+    config.workers = layout.workers;
+    config.threads_per_worker = layout.threads_per_worker;
+    config.precision = layout.precision;
+    config.queue_capacity = 2;
+    config.metric_prefix = "serve_test_mt";
+    Server server(net, config);
+
+    std::vector<InferenceResult> actual(inputs.size());
+    std::vector<std::thread> clients;
+    clients.reserve(kClients);
     for (std::size_t c = 0; c < kClients; ++c) {
-      for (const Tensor& input : inputs[c]) {
-        expected[c].push_back(ctx.forward(input, pool).to_vector());
-      }
+      clients.emplace_back([&server, &inputs, &actual, c] {
+        for (std::size_t i = c * kPerClient; i < (c + 1) * kPerClient; ++i) {
+          actual[i] = submit_until_accepted(server, inputs[i]).get();
+        }
+      });
+    }
+    for (auto& client : clients) client.join();
+    server.shutdown();
+
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      EXPECT_EQ(tensor::max_abs_diff(actual[i].output, expected[i]), 0.0f)
+          << name << ", request " << i;
+      EXPECT_LT(actual[i].worker, layout.workers) << name;
+      EXPECT_GE(actual[i].total_seconds, actual[i].compute_seconds) << name;
+    }
+    auto& reg = obs::Registry::global();
+    EXPECT_EQ(reg.counter("serve_test_mt/completed").value(),
+              static_cast<std::int64_t>(inputs.size()))
+        << name;
+    EXPECT_EQ(reg.histogram("serve_test_mt/latency").snapshot().count,
+              inputs.size())
+        << name;
+  }
+}
+
+// --- A forward that throws fails that one request; the worker keeps
+// serving. ---
+
+// Doubles its input, and throws when the first value is the sentinel.
+class ThrowOnSentinel final : public dnn::Layer {
+ public:
+  static constexpr float kSentinel = -1234.5f;
+
+  ThrowOnSentinel() : Layer("throw_on_sentinel") {}
+  std::string kind() const override { return "activation"; }
+  tensor::Shape plan(const tensor::Shape& input) override {
+    set_shapes(input, input);
+    return input;
+  }
+
+  using Layer::backward;
+  using Layer::forward;
+  void forward(const Tensor& src, Tensor& dst, dnn::LayerExecState&,
+               runtime::ThreadPool&) const override {
+    if (src.data()[0] == kSentinel) {
+      throw std::runtime_error("sentinel request");
+    }
+    for (std::size_t i = 0; i < src.size(); ++i) {
+      dst.data()[i] = 2.0f * src.data()[i];
     }
   }
+  void backward(const Tensor&, Tensor&, Tensor&, bool, dnn::LayerExecState&,
+                runtime::ThreadPool&) const override {
+    throw std::logic_error("ThrowOnSentinel: inference only");
+  }
+};
+
+TEST(Serve, ForwardThrowFailsOnlyThatRequest) {
+  auto mutable_net = std::make_shared<dnn::Network>();
+  mutable_net->emplace<ThrowOnSentinel>();
+  mutable_net->finalize(tensor::Shape{1, 4, 4, 4});
+  const std::shared_ptr<const dnn::Network> net = mutable_net;
+
+  std::vector<Tensor> inputs = make_inputs(*net, 5, 43);
+  constexpr std::size_t kBad = 2;
+  inputs[kBad].data()[0] = ThrowOnSentinel::kSentinel;
+  std::vector<Tensor> good;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    if (i != kBad) good.push_back(inputs[i].clone());
+  }
+  const std::vector<std::vector<float>> expected =
+      reference_outputs(*net, good);
 
   ServerConfig config;
-  config.workers = 2;
-  config.threads_per_worker = 2;
-  config.max_batch = 4;
-  config.max_delay_seconds = 1e-3;
-  config.metric_prefix = "serve_test_mt";
+  config.workers = 1;
+  config.metric_prefix = "serve_test_fault";
   Server server(net, config);
-
-  std::vector<std::vector<std::vector<float>>> actual(kClients);
-  std::vector<std::thread> clients;
-  clients.reserve(kClients);
-  for (std::size_t c = 0; c < kClients; ++c) {
-    clients.emplace_back([&server, &inputs, &actual, c] {
-      for (const Tensor& input : inputs[c]) {
-        std::future<InferenceResult> future =
-            submit_until_accepted(server, input);
-        actual[c].push_back(future.get().output);
-      }
-    });
+  std::vector<std::future<InferenceResult>> futures;
+  for (const Tensor& input : inputs) {
+    futures.push_back(submit_until_accepted(server, input));
   }
-  for (auto& client : clients) client.join();
-  server.shutdown();
-
-  for (std::size_t c = 0; c < kClients; ++c) {
-    ASSERT_EQ(actual[c].size(), expected[c].size()) << "client " << c;
-    for (std::size_t r = 0; r < expected[c].size(); ++r) {
-      EXPECT_EQ(tensor::max_abs_diff(actual[c][r], expected[c][r]), 0.0f)
-          << "client " << c << " rep " << r;
+  std::size_t next_good = 0;
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    if (i == kBad) {
+      EXPECT_THROW(futures[i].get(), std::runtime_error);
+      continue;
     }
+    EXPECT_EQ(tensor::max_abs_diff(futures[i].get().output,
+                                   expected[next_good++]),
+              0.0f)
+        << "request " << i;
   }
+  server.shutdown();
+  EXPECT_EQ(
+      obs::Registry::global().counter("serve_test_fault/completed").value(),
+      static_cast<std::int64_t>(good.size()));
 }
 
 // --- Shutdown drains: every accepted future resolves, then the door
@@ -282,8 +284,6 @@ TEST(Serve, ShutdownDrainsInFlightRequests) {
   const auto net = make_network(8, 25);
   ServerConfig config;
   config.workers = 1;
-  config.max_batch = 2;
-  config.max_delay_seconds = 1e-3;
   config.metric_prefix = "serve_test_sd";
   Server server(net, config);
 
@@ -292,8 +292,8 @@ TEST(Serve, ShutdownDrainsInFlightRequests) {
   for (const Tensor& input : inputs) {
     futures.push_back(submit_until_accepted(server, input));
   }
-  // Most of these are still queued or forming; shutdown must deliver
-  // them all, not drop them.
+  // Most of these are still queued; shutdown must deliver them all,
+  // not drop them.
   server.shutdown();
   for (std::size_t i = 0; i < futures.size(); ++i) {
     EXPECT_EQ(futures[i].wait_for(std::chrono::seconds(0)),
