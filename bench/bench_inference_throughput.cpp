@@ -11,17 +11,18 @@
 // out, and the per-stream memory cost is the lean inference footprint
 // rather than a full training replica.
 //
-// The sweep runs every prepared precision (fp32, bf16, int8w) through
-// 1..--streams streams (powers of two). Single-stream rates — the
-// basis of the reported per-precision speedups — are measured
-// round-robin across the precisions over --rounds blocks and reported
-// as the best block, so a background-load spike on a shared VM hits
-// every mode instead of biasing one. Every stream's outputs are
-// checked bitwise against a serial reference of the SAME precision
-// (the determinism rule holds per precision), and each reduced
-// precision's predictions are scored against fp32 as a parameter-
-// regression MAE on the shared core::precision_eval fixture — the
-// same dataset the accuracy-tolerance test gates on.
+// The sweep runs fp32 and bf16 through 1..--streams streams (powers of
+// two). Single-stream rates — the basis of the reported bf16 speedup —
+// are measured round-robin across the two precisions over --rounds
+// blocks and reported as the best block, with the slowest and fastest
+// block next to it, so a background-load spike on a shared VM hits
+// both modes instead of biasing one and the spread stays visible.
+// Every stream's outputs are checked bitwise against a serial
+// reference of the SAME precision (the determinism rule holds per
+// precision), and the bf16 predictions are scored against fp32 as a
+// parameter-regression MAE on the shared core::precision_eval fixture —
+// the same dataset the accuracy-tolerance test gates on. The JSON
+// record names the ISA the kernels were built for.
 //
 // `scaling_valid` is false when the sweep oversubscribes the hardware
 // (streams x threads-per-stream > hardware threads): on a 1-core VM
@@ -66,10 +67,18 @@ namespace {
 using namespace cf;
 
 const char* precision_tag(dnn::Precision p) {
-  return p == dnn::Precision::kFp32    ? ""
-         : p == dnn::Precision::kBf16 ? "bf16_"
-                                       : "int8w_";
+  return p == dnn::Precision::kFp32 ? "" : "bf16_";
 }
+
+// The instruction set the dnn kernels were compiled for.
+constexpr const char* kKernelIsa =
+#if defined(__AVX512F__) && defined(__AVX512BF16__)
+    "avx512f+avx512bf16";
+#elif defined(__AVX512F__)
+    "avx512f";
+#else
+    "scalar";
+#endif
 
 }  // namespace
 
@@ -110,10 +119,8 @@ int main(int argc, char** argv) {
 
   dnn::Network net = core::build_network(core::cosmoflow_scaled(dhw), 7);
   net.prepare_inference_precision(dnn::Precision::kBf16);
-  net.prepare_inference_precision(dnn::Precision::kInt8Weights);
-  const std::vector<dnn::Precision> precisions = {
-      dnn::Precision::kFp32, dnn::Precision::kBf16,
-      dnn::Precision::kInt8Weights};
+  const std::vector<dnn::Precision> precisions = {dnn::Precision::kFp32,
+                                                  dnn::Precision::kBf16};
 
   // Cost-model ablation: the model splits the hardware budget into
   // {streams, threads_per_stream} + per-layer grains; the chosen width
@@ -174,9 +181,9 @@ int main(int argc, char** argv) {
     expected.push_back(std::move(per_stream));
   }
 
-  // Accuracy attribution: parameter-regression MAE of each reduced
-  // precision against fp32 on the shared eval fixture.
-  double mae_bf16 = 0.0, mae_int8w = 0.0;
+  // Accuracy attribution: parameter-regression MAE of bf16 against
+  // fp32 on the shared eval fixture.
+  double mae_bf16 = 0.0;
   {
     const std::vector<tensor::Tensor> eval_inputs =
         core::precision_eval_inputs(net.input_shape(), 24);
@@ -192,10 +199,9 @@ int main(int argc, char** argv) {
       preds.push_back(std::move(flat));
     }
     mae_bf16 = core::prediction_mae(preds[1], preds[0]);
-    mae_int8w = core::prediction_mae(preds[2], preds[0]);
     std::printf("accuracy vs fp32 (24-input eval fixture): "
-                "mae_bf16 %.6g, mae_int8w %.6g\n\n",
-                mae_bf16, mae_int8w);
+                "mae_bf16 %.6g\n\n",
+                mae_bf16);
   }
 
   // Timed sweep: S streams of one precision, each forwarding its input
@@ -240,13 +246,17 @@ int main(int argc, char** argv) {
     run_streams(1, p);  // warm-up: pages in weights, arenas and code
   }
 
-  // Single-stream rates, round-robin: the per-precision speedups are
-  // ratios of rates measured through interleaved time slices, so
-  // machine-load drift degrades all modes together.
+  // Single-stream rates, round-robin: the bf16 speedup is a ratio of
+  // rates measured through interleaved time slices, so machine-load
+  // drift degrades both modes together. The best round is the reported
+  // rate; the slowest round shows the spread.
   std::vector<double> single_sps(precisions.size(), 0.0);
+  std::vector<double> single_min(precisions.size(), 0.0);
   for (int round = 0; round < rounds; ++round) {
     for (std::size_t p = 0; p < precisions.size(); ++p) {
-      single_sps[p] = std::max(single_sps[p], run_streams(1, p));
+      const double sps = run_streams(1, p);
+      single_sps[p] = std::max(single_sps[p], sps);
+      single_min[p] = round == 0 ? sps : std::min(single_min[p], sps);
     }
   }
 
@@ -268,11 +278,15 @@ int main(int argc, char** argv) {
   }
   const double speedup_bf16 =
       single_sps[0] > 0.0 ? single_sps[1] / single_sps[0] : 0.0;
-  const double speedup_int8w =
-      single_sps[0] > 0.0 ? single_sps[2] / single_sps[0] : 0.0;
-  std::printf("\nsingle-stream speedup vs fp32: bf16 %.3fx, int8w "
-              "%.3fx\n",
-              speedup_bf16, speedup_int8w);
+  for (std::size_t p = 0; p < precisions.size(); ++p) {
+    std::printf("\nsingle-stream %s over %d round(s): min %.2f, max "
+                "%.2f samples/s",
+                to_string(precisions[p]).data(), rounds, single_min[p],
+                single_sps[p]);
+  }
+  std::printf("\nsingle-stream speedup vs fp32: bf16 %.3fx (kernels "
+              "built for %s)\n",
+              speedup_bf16, kKernelIsa);
 
   const bool scaling_valid =
       static_cast<unsigned long long>(max_streams) *
@@ -289,6 +303,7 @@ int main(int argc, char** argv) {
     obs::JsonObject rec;
     rec.field("bench", "inference_throughput")
         .field("commit", COSMOFLOW_GIT_SHA)
+        .field("kernel_isa", kKernelIsa)
         .field("dhw", static_cast<std::int64_t>(dhw))
         .field("reps", reps)
         .field("rounds", rounds)
@@ -298,19 +313,20 @@ int main(int argc, char** argv) {
                static_cast<std::int64_t>(hardware_threads))
         .field("scaling_valid", scaling_valid);
     for (std::size_t p = 0; p < precisions.size(); ++p) {
+      const std::string key =
+          std::string("sps_") + precision_tag(precisions[p]) + "streams_";
       for (const auto& [streams, sps] : results[p]) {
-        rec.field(std::string("sps_") + precision_tag(precisions[p]) +
-                      "streams_" + std::to_string(streams),
-                  sps);
+        rec.field(key + std::to_string(streams), sps);
+        if (streams == 1) {
+          rec.field(key + "1_min", single_min[p])
+              .field(key + "1_max", single_sps[p]);
+        }
       }
     }
     rec.field("speedup_max_streams",
               single_sps[0] > 0.0 ? results[0].back().second / single_sps[0]
                                   : 0.0);
-    rec.field("speedup_bf16", speedup_bf16)
-        .field("speedup_int8w", speedup_int8w)
-        .field("mae_bf16", mae_bf16)
-        .field("mae_int8w", mae_int8w);
+    rec.field("speedup_bf16", speedup_bf16).field("mae_bf16", mae_bf16);
     std::FILE* out = std::fopen(json_path.c_str(), "w");
     if (out == nullptr) {
       std::printf("FAILED to write json to %s\n", json_path.c_str());

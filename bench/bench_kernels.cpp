@@ -3,10 +3,13 @@
 // average pooling, dense layers, leaky ReLU, and layout reorders.
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "dnn/activations.hpp"
 #include "dnn/avgpool3d.hpp"
 #include "dnn/conv3d.hpp"
 #include "dnn/dense.hpp"
+#include "dnn/standalone_exec.hpp"
 #include "runtime/rng.hpp"
 #include "runtime/thread_pool.hpp"
 #include "tensor/layout.hpp"
@@ -26,7 +29,8 @@ struct ConvFixture {
     const Shape in = conv.input_is_plain()
                          ? Shape{ic, dhw, dhw, dhw}
                          : Shape{ic / 16, dhw, dhw, dhw, 16};
-    conv.plan(in);
+    dnn::plan_single(conv, in);
+    exec.emplace(conv);
     runtime::Rng rng(1);
     conv.init_he(rng);
     src = Tensor(conv.input_shape());
@@ -38,6 +42,7 @@ struct ConvFixture {
   }
 
   dnn::Conv3d conv;
+  std::optional<dnn::StandaloneExec> exec;
   Tensor src, dst, ddst, dsrc;
   runtime::ThreadPool pool{1};
 };
@@ -45,7 +50,7 @@ struct ConvFixture {
 void BM_Conv3dForwardBlocked(benchmark::State& state) {
   ConvFixture f(state.range(0), state.range(1), state.range(2), 3, 1);
   for (auto _ : state) {
-    f.conv.forward(f.src, f.dst, f.pool);
+    f.exec->forward(f.src, f.dst, f.pool);
     benchmark::DoNotOptimize(f.dst.data());
   }
   state.counters["GFlop/s"] = benchmark::Counter(
@@ -60,10 +65,11 @@ BENCHMARK(BM_Conv3dForwardBlocked)
 
 void BM_Conv3dBackward(benchmark::State& state) {
   ConvFixture f(state.range(0), state.range(1), state.range(2), 3, 1);
-  f.conv.forward(f.src, f.dst, f.pool);
+  f.exec->forward(f.src, f.dst, f.pool);
   const bool need_dsrc = !f.conv.input_is_plain();
   for (auto _ : state) {
-    f.conv.backward(f.src, f.ddst, f.dsrc, need_dsrc, f.pool);
+    f.exec->backward(f.src, f.dst, f.ddst, need_dsrc ? &f.dsrc : nullptr,
+                     f.pool);
     benchmark::DoNotOptimize(f.dsrc.data());
   }
   const auto flops = f.conv.flops();
@@ -107,14 +113,15 @@ void BM_AvgPool3dForward(benchmark::State& state) {
   const std::int64_t channels = state.range(0);
   const std::int64_t dhw = state.range(1);
   dnn::AvgPool3d layer("pool", dnn::AvgPool3dConfig{2, 2});
-  layer.plan(Shape{channels / 16, dhw, dhw, dhw, 16});
+  dnn::plan_single(layer, Shape{channels / 16, dhw, dhw, dhw, 16});
+  dnn::StandaloneExec exec(layer);
   runtime::Rng rng(3);
   Tensor src(layer.input_shape());
   tensor::fill_normal(src, rng, 0.0f, 1.0f);
   Tensor dst(layer.output_shape());
   runtime::ThreadPool pool(1);
   for (auto _ : state) {
-    layer.forward(src, dst, pool);
+    exec.forward(src, dst, pool);
     benchmark::DoNotOptimize(dst.data());
   }
   state.SetBytesProcessed(state.iterations() * src.size() * sizeof(float));
@@ -128,7 +135,8 @@ void BM_DenseForward(benchmark::State& state) {
   const std::int64_t in = state.range(0);
   const std::int64_t out = state.range(1);
   dnn::Dense layer("fc", in, out);
-  layer.plan(Shape{in});
+  dnn::plan_single(layer, Shape{in});
+  dnn::StandaloneExec exec(layer);
   runtime::Rng rng(4);
   layer.init_xavier(rng);
   Tensor src(Shape{in});
@@ -136,7 +144,7 @@ void BM_DenseForward(benchmark::State& state) {
   Tensor dst(Shape{out});
   runtime::ThreadPool pool(1);
   for (auto _ : state) {
-    layer.forward(src, dst, pool);
+    exec.forward(src, dst, pool);
     benchmark::DoNotOptimize(dst.data());
   }
   state.counters["GFlop/s"] = benchmark::Counter(
@@ -151,14 +159,15 @@ BENCHMARK(BM_DenseForward)
 void BM_LeakyRelu(benchmark::State& state) {
   const std::int64_t n = state.range(0);
   dnn::LeakyRelu layer("act", 0.01f);
-  layer.plan(Shape{n});
+  dnn::plan_single(layer, Shape{n});
+  dnn::StandaloneExec exec(layer);
   runtime::Rng rng(5);
   Tensor src(Shape{n});
   tensor::fill_normal(src, rng, 0.0f, 1.0f);
   Tensor dst(Shape{n});
   runtime::ThreadPool pool(1);
   for (auto _ : state) {
-    layer.forward(src, dst, pool);
+    exec.forward(src, dst, pool);
     benchmark::DoNotOptimize(dst.data());
   }
   state.SetBytesProcessed(state.iterations() * n * sizeof(float) * 2);

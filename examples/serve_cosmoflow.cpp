@@ -8,7 +8,7 @@
 // trained weights.
 //
 //   ./examples/serve_cosmoflow [--dhw=16] [--workers=2] [--requests=8]
-//       [--precision=fp32|bf16|int8w] [--checkpoint=PATH]
+//       [--precision=fp32|bf16] [--checkpoint=PATH]
 #include <cstdio>
 #include <future>
 #include <memory>
@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   const examples::Flags flags(
       argc, argv,
       "usage: serve_cosmoflow [--dhw=16] [--workers=2] [--requests=8] "
-      "[--precision=fp32|bf16|int8w] [--checkpoint=PATH]");
+      "[--precision=fp32|bf16] [--checkpoint=PATH]");
 
   const std::int64_t dhw = flags.get_int("dhw", 16);
   const std::string ckpt = flags.get_string("checkpoint", "");
@@ -38,9 +38,9 @@ int main(int argc, char** argv) {
 
   // The model is built (or loaded) once and then shared read-only by
   // every worker stream — a const handle is all the server needs.
-  // Reduced-precision serving packs the bf16/int8 side arenas here,
-  // after the checkpoint load, so the quantized weights reflect the
-  // weights actually served (DESIGN.md §2.5).
+  // bf16 serving packs the bf16 side arena here, after the checkpoint
+  // load, so the packed weights reflect the weights actually served
+  // (DESIGN.md §2.5).
   const dnn::Precision precision =
       dnn::precision_from_string(flags.get_string("precision", "fp32"));
   const core::TopologyConfig topology = core::topology_for_input(dhw);

@@ -8,10 +8,13 @@
 #           grad arenas, and the conv gather / pool direct-write
 #           kernels whose correctness depends on exact in-bounds
 #           full-coverage writes. The Precision suite rides this leg
-#           with special weight: the bf16/int8 conversion kernels
-#           (vectorized array converters, packed side arenas, the
+#           with special weight: the bf16 conversion kernels
+#           (vectorized array converters, the packed side arena, the
 #           widen-on-load forward paths) are exactly the
-#           pointer-width-changing code ASan is good at.
+#           pointer-width-changing code ASan is good at. The layer
+#           unit suites (conv sweep and grad check, pooling, dense,
+#           LeakyRelu) run here and on ubsan: they drive each layer
+#           through a caller-owned StandaloneExec state.
 #   tsan  — cross-thread hand-offs: the MlComm collectives and helper
 #           thread (sync + async bucketed allreduce), ThreadPool
 #           dispatch, the overlapped trainer step loop, the Context
@@ -47,9 +50,9 @@ run_one() {
       # corrupt length fields must never drive an out-of-bounds read
       # or oversized allocation.
       # Graph*.* rides every leg: slot-colored act/diff arenas, the
-      # shared fan-in accumulation buffer, and shape-view weight
-      # aliasing are all raw-offset arena arithmetic.
-      filter='Memplan*.*:Network*.*:Context*.*:Blocked*.*:Shapes/FusedConvVsUnfused*.*:FusedDenseVsUnfused*.*:Fusion*.*:AvgPool*.*:Flatten*.*:Threads/ConvThreadInvariance*.*:Precision*.*:Intraop*.*:*/Intraop*.*:Graph*.*:Crc32c*.*:Cfrecord*.*:CfrecordFuzz*.*:SampleSerialization*.*:DataPath*.*'
+      # fan-in merge buffers, and shape-view weight aliasing are all
+      # raw-offset arena arithmetic.
+      filter='Memplan*.*:Network*.*:Context*.*:*BlockedConvVsReference.*:*AvgPoolVsReference.*:Conv3d*.*:Dense.*:LeakyRelu.*:Shapes/FusedConvVsUnfused*.*:FusedDenseVsUnfused*.*:Fusion*.*:AvgPool*.*:Flatten*.*:Threads/ConvThreadInvariance*.*:Precision*.*:Intraop*.*:*/Intraop*.*:Graph*.*:Crc32c*.*:Cfrecord*.*:CfrecordFuzz*.*:SampleSerialization*.*:DataPath*.*'
       ;;
     tsan)
       cmake_flag="-DCOSMOFLOW_TSAN=ON"
@@ -77,7 +80,7 @@ run_one() {
       env_value="halt_on_error=1 print_stacktrace=1"
       # The CRC kernels' word loads and the cfrecord framing offsets
       # are exactly the unsigned/pointer arithmetic UBSan checks.
-      filter='Shapes/FusedConvVsUnfused*.*:FusedDenseVsUnfused*.*:Fusion*.*:Blocked*.*:Threads/ConvThreadInvariance*.*:Adam*.*:LarcFixture*.*:LarcAdamIntegration*.*:SgdMomentum*.*:Network*.*:Context*.*:Flatten*.*:Precision*.*:Intraop*.*:*/Intraop*.*:Graph*.*:Crc32c*.*:Cfrecord*.*:CfrecordFuzz*.*'
+      filter='Shapes/FusedConvVsUnfused*.*:FusedDenseVsUnfused*.*:Fusion*.*:*BlockedConvVsReference.*:*AvgPoolVsReference.*:Conv3d*.*:Dense.*:LeakyRelu.*:Threads/ConvThreadInvariance*.*:Adam*.*:LarcFixture*.*:LarcAdamIntegration*.*:SgdMomentum*.*:Network*.*:Context*.*:Flatten*.*:Precision*.*:Intraop*.*:*/Intraop*.*:Graph*.*:Crc32c*.*:Cfrecord*.*:CfrecordFuzz*.*'
       ;;
     *)
       echo "unknown sanitizer '$san' (expected asan, tsan or ubsan)" >&2

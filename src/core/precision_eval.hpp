@@ -1,6 +1,6 @@
 // Shared fixture for the reduced-precision accuracy gates
 // (DESIGN.md §2.5): the tolerance test, the precision ablation bench
-// and the serving flag all compare bf16/int8w predictions against the
+// and the serving flag all compare bf16 predictions against the
 // fp32 reference on the SAME deterministic input set, so a tolerance
 // measured in one place is the tolerance enforced everywhere.
 #pragma once

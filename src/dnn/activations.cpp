@@ -23,9 +23,10 @@ LeakyRelu::LeakyRelu(std::string name, float negative_slope)
   }
 }
 
-Shape LeakyRelu::plan(const Shape& input) {
-  set_shapes(input, input);
-  return input;
+Shape LeakyRelu::plan(std::span<const Shape> inputs) {
+  check_inputs(inputs.size());
+  set_shapes(inputs[0], inputs[0]);
+  return inputs[0];
 }
 
 FlopCounts LeakyRelu::flops() const {
@@ -35,10 +36,11 @@ FlopCounts LeakyRelu::flops() const {
   return counts;
 }
 
-void LeakyRelu::forward(const Tensor& src, Tensor& dst,
-                        LayerExecState& exec,
+void LeakyRelu::forward(Inputs srcs, Tensor& dst, LayerExecState& exec,
                         runtime::ThreadPool& pool) const {
   const runtime::ScopedTimer timer(exec.timers.fwd);
+  check_inputs(srcs.size());
+  const Tensor& src = *srcs[0];
   if (src.shape() != input_shape() || dst.shape() != output_shape()) {
     throw std::invalid_argument("LeakyRelu::forward: shape mismatch");
   }
@@ -55,10 +57,13 @@ void LeakyRelu::forward(const Tensor& src, Tensor& dst,
                     kSerialWorkLimit);
 }
 
-void LeakyRelu::backward(const Tensor& src, Tensor& ddst, Tensor& dsrc,
-                         bool need_dsrc, LayerExecState& exec,
+void LeakyRelu::backward(Inputs srcs, const Tensor& /*dst*/, Tensor& ddst,
+                         InputGrads dsrcs, LayerExecState& exec,
                          runtime::ThreadPool& pool) const {
-  if (!need_dsrc) return;
+  check_inputs(srcs.size(), dsrcs.size());
+  if (dsrcs[0] == nullptr) return;
+  const Tensor& src = *srcs[0];
+  Tensor& dsrc = *dsrcs[0];
   const runtime::ScopedTimer timer(exec.timers.bwd_data);
   if (src.shape() != input_shape() || ddst.shape() != output_shape() ||
       dsrc.shape() != input_shape()) {

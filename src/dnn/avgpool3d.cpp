@@ -23,7 +23,9 @@ AvgPool3d::AvgPool3d(std::string name, AvgPool3dConfig config)
   }
 }
 
-Shape AvgPool3d::plan(const Shape& input) {
+Shape AvgPool3d::plan(std::span<const Shape> inputs) {
+  check_inputs(inputs.size());
+  const Shape& input = inputs[0];
   if (input.rank() != 5 || input[4] != kB) {
     throw std::invalid_argument("AvgPool3d::plan: expected blocked input, "
                                 "got " + input.to_string());
@@ -48,10 +50,11 @@ FlopCounts AvgPool3d::flops() const {
   return counts;
 }
 
-void AvgPool3d::forward(const Tensor& src, Tensor& dst,
-                        LayerExecState& exec,
+void AvgPool3d::forward(Inputs srcs, Tensor& dst, LayerExecState& exec,
                         runtime::ThreadPool& pool) const {
   const runtime::ScopedTimer timer(exec.timers.fwd);
+  check_inputs(srcs.size());
+  const Tensor& src = *srcs[0];
   if (src.shape() != input_shape() || dst.shape() != output_shape()) {
     throw std::invalid_argument("AvgPool3d::forward: shape mismatch");
   }
@@ -94,11 +97,12 @@ void AvgPool3d::forward(const Tensor& src, Tensor& dst,
       exec.intraop_grain);
 }
 
-void AvgPool3d::backward(const Tensor& src, Tensor& ddst, Tensor& dsrc,
-                         bool need_dsrc, LayerExecState& exec,
+void AvgPool3d::backward(Inputs srcs, const Tensor& /*dst*/, Tensor& ddst,
+                         InputGrads dsrcs, LayerExecState& exec,
                          runtime::ThreadPool& pool) const {
-  (void)src;
-  if (!need_dsrc) return;
+  check_inputs(srcs.size(), dsrcs.size());
+  if (dsrcs[0] == nullptr) return;
+  Tensor& dsrc = *dsrcs[0];
   const runtime::ScopedTimer timer(exec.timers.bwd_data);
   if (ddst.shape() != output_shape() || dsrc.shape() != input_shape()) {
     throw std::invalid_argument("AvgPool3d::backward: shape mismatch");

@@ -325,7 +325,9 @@ Conv3d::Conv3d(std::string name, Conv3dConfig config)
   plain_input_ = config_.in_channels < kB;
 }
 
-Shape Conv3d::plan(const Shape& input) {
+Shape Conv3d::plan(std::span<const Shape> inputs) {
+  check_inputs(inputs.size());
+  const Shape& input = inputs[0];
   const std::int64_t k = config_.kernel;
   if (plain_input_) {
     if (input.rank() != 4 || input[0] != config_.in_channels) {
@@ -441,20 +443,11 @@ void Conv3d::set_plain_weights(const Tensor& weights, const Tensor& bias) {
               static_cast<std::size_t>(bias.size()) * sizeof(float));
 }
 
-Tensor Conv3d::plain_weights() const {
+Tensor Conv3d::to_plain_weights(const Tensor& blocked) const {
   return plain_input_
              ? tensor::from_blocked_weights_small_ic(
-                   weights_, config_.out_channels, config_.in_channels)
-             : tensor::from_blocked_weights(weights_, config_.out_channels,
-                                            config_.in_channels);
-}
-
-Tensor Conv3d::plain_weight_grads() {
-  const Tensor& wg = standalone_state().grads[0];
-  return plain_input_
-             ? tensor::from_blocked_weights_small_ic(
-                   wg, config_.out_channels, config_.in_channels)
-             : tensor::from_blocked_weights(wg, config_.out_channels,
+                   blocked, config_.out_channels, config_.in_channels)
+             : tensor::from_blocked_weights(blocked, config_.out_channels,
                                             config_.in_channels);
 }
 
@@ -565,9 +558,11 @@ void Conv3d::stage_padded_src(const Tensor& src, LayerExecState& exec,
   }
 }
 
-void Conv3d::forward(const Tensor& src, Tensor& dst, LayerExecState& exec,
+void Conv3d::forward(Inputs srcs, Tensor& dst, LayerExecState& exec,
                      runtime::ThreadPool& pool) const {
   const runtime::ScopedTimer timer(exec.timers.fwd);
+  check_inputs(srcs.size());
+  const Tensor& src = *srcs[0];
   if (src.shape() != input_shape() || dst.shape() != output_shape()) {
     throw std::invalid_argument("Conv3d::forward: shape mismatch");
   }
@@ -581,20 +576,11 @@ void Conv3d::forward(const Tensor& src, Tensor& dst, LayerExecState& exec,
   }
 }
 
-void Conv3d::backward(const Tensor& src, Tensor& ddst, Tensor& dsrc,
-                      bool need_dsrc, LayerExecState& exec,
+void Conv3d::backward(Inputs srcs, const Tensor& dst, Tensor& ddst,
+                      InputGrads dsrcs, LayerExecState& exec,
                       runtime::ThreadPool& pool) const {
-  if (fused_) {
-    throw std::logic_error(
-        "Conv3d::backward: fused layer needs its forward output — use the "
-        "dst overload");
-  }
-  backward(src, /*dst=*/ddst, ddst, dsrc, need_dsrc, exec, pool);
-}
-
-void Conv3d::backward(const Tensor& src, const Tensor& dst, Tensor& ddst,
-                      Tensor& dsrc, bool need_dsrc, LayerExecState& exec,
-                      runtime::ThreadPool& pool) const {
+  check_inputs(srcs.size(), dsrcs.size());
+  const Tensor& src = *srcs[0];
   if (src.shape() != input_shape() || ddst.shape() != output_shape()) {
     throw std::invalid_argument("Conv3d::backward: shape mismatch");
   }
@@ -626,16 +612,17 @@ void Conv3d::backward(const Tensor& src, const Tensor& dst, Tensor& ddst,
                                pool, exec.intraop_grain);
     }
   }
-  if (!need_dsrc) return;
+  Tensor* dsrc = dsrcs[0];
+  if (dsrc == nullptr) return;
   CF_TRACE_SCOPE(span_label_bwd_data().c_str(), "conv");
   const runtime::ScopedTimer timer(exec.timers.bwd_data);
-  if (dsrc.shape() != input_shape()) {
+  if (dsrc->shape() != input_shape()) {
     throw std::invalid_argument("Conv3d::backward: dsrc shape mismatch");
   }
   if (plain_input_) {
-    backward_data_plain_src(ddst, dsrc, pool);
+    backward_data_plain_src(ddst, *dsrc, pool);
   } else {
-    backward_data_blocked(ddst, dsrc, exec.scratch, pool,
+    backward_data_blocked(ddst, *dsrc, exec.scratch, pool,
                           exec.intraop_grain);
   }
 }

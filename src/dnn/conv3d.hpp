@@ -57,25 +57,17 @@ class Conv3d final : public Layer {
   /// Input: blocked {ICb, D, H, W, 16} when in_channels is a multiple
   /// of 16, else plain {IC, D, H, W} (first layer). Output: blocked
   /// {OCb, OD, OH, OW, 16}. out_channels must be a multiple of 16.
-  tensor::Shape plan(const tensor::Shape& input) override;
+  tensor::Shape plan(std::span<const tensor::Shape> inputs) override;
 
-  using Layer::backward;
-  using Layer::forward;
-
-  void forward(const tensor::Tensor& src, tensor::Tensor& dst,
-               LayerExecState& exec,
+  void forward(Inputs srcs, tensor::Tensor& dst, LayerExecState& exec,
                runtime::ThreadPool& pool) const override;
-  void backward(const tensor::Tensor& src, tensor::Tensor& ddst,
-                tensor::Tensor& dsrc, bool need_dsrc, LayerExecState& exec,
-                runtime::ThreadPool& pool) const override;
-  void backward(const tensor::Tensor& src, const tensor::Tensor& dst,
-                tensor::Tensor& ddst, tensor::Tensor& dsrc, bool need_dsrc,
-                LayerExecState& exec,
+  void backward(Inputs srcs, const tensor::Tensor& dst, tensor::Tensor& ddst,
+                InputGrads dsrcs, LayerExecState& exec,
                 runtime::ThreadPool& pool) const override;
 
-  // Reduced-precision inference forwards (dnn/forward_rp.cpp): bf16
-  // weights+activations with fp32 accumulation, and weights-only int8
-  // with per-output-channel scales. fp32 kernels above are untouched.
+  // Reduced-precision inference forward (dnn/forward_rp.cpp): bf16
+  // weights+activations with fp32 accumulation. The fp32 kernels above
+  // are untouched.
   bool supports_precision(Precision p) const override {
     static_cast<void>(p);
     return true;
@@ -83,18 +75,6 @@ class Conv3d final : public Layer {
   void forward_bf16(const bf16_t* src, bf16_t* dst,
                     std::span<const bf16_t> params, LayerExecState& exec,
                     runtime::ThreadPool& pool) const override;
-  void forward_int8w(const tensor::Tensor& src, tensor::Tensor& dst,
-                     std::span<const std::int8_t> qweights,
-                     std::span<const float> scales, LayerExecState& exec,
-                     runtime::ThreadPool& pool) const override;
-  std::size_t int8_weight_count() const override {
-    return static_cast<std::size_t>(weights_.size());
-  }
-  std::size_t int8_scale_count() const override {
-    return static_cast<std::size_t>(config_.out_channels);
-  }
-  void quantize_weights_int8(std::span<std::int8_t> qweights,
-                             std::span<float> scales) const override;
 
   /// Forward stages the source into a zero-padded workspace (written by
   /// forward, re-read by backward-weights of the same stream).
@@ -129,16 +109,13 @@ class Conv3d final : public Layer {
   void init_he(runtime::Rng& rng);
 
   /// Replace weights from / export weights to the plain
-  /// {OC, IC, KD, KH, KW} layout (tests, checkpoints).
+  /// {OC, IC, KD, KH, KW} layout (tests, checkpoints). to_plain_weights
+  /// exports any tensor in the blocked weight layout, such as the
+  /// weight gradient in LayerExecState::grads[0].
   void set_plain_weights(const tensor::Tensor& weights,
                          const tensor::Tensor& bias);
-  tensor::Tensor plain_weights() const;
-
-  /// Standalone-drive gradient views (the layer-owned LayerExecState
-  /// behind the convenience forward/backward overloads). Context-driven
-  /// gradients live in the context instead.
-  tensor::Tensor plain_weight_grads();
-  const tensor::Tensor& bias_grad() { return standalone_state().grads[1]; }
+  tensor::Tensor plain_weights() const { return to_plain_weights(weights_); }
+  tensor::Tensor to_plain_weights(const tensor::Tensor& blocked) const;
 
   const tensor::Tensor& bias() const noexcept { return bias_; }
 

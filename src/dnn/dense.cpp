@@ -22,7 +22,9 @@ Dense::Dense(std::string name, std::int64_t in_features,
   }
 }
 
-Shape Dense::plan(const Shape& input) {
+Shape Dense::plan(std::span<const Shape> inputs) {
+  check_inputs(inputs.size());
+  const Shape& input = inputs[0];
   if (input.rank() != 1 || input[0] != in_) {
     throw std::invalid_argument("Dense::plan: expected plain {" +
                                 std::to_string(in_) + "}, got " +
@@ -71,9 +73,11 @@ void Dense::init_xavier(runtime::Rng& rng) {
   bias_.zero();
 }
 
-void Dense::forward(const Tensor& src, Tensor& dst, LayerExecState& exec,
+void Dense::forward(Inputs srcs, Tensor& dst, LayerExecState& exec,
                     runtime::ThreadPool& pool) const {
   const runtime::ScopedTimer timer(exec.timers.fwd);
+  check_inputs(srcs.size());
+  const Tensor& src = *srcs[0];
   if (src.shape() != input_shape() || dst.shape() != output_shape()) {
     throw std::invalid_argument("Dense::forward: shape mismatch");
   }
@@ -123,20 +127,11 @@ void Dense::forward(const Tensor& src, Tensor& dst, LayerExecState& exec,
   }
 }
 
-void Dense::backward(const Tensor& src, Tensor& ddst, Tensor& dsrc,
-                     bool need_dsrc, LayerExecState& exec,
+void Dense::backward(Inputs srcs, const Tensor& dst, Tensor& ddst,
+                     InputGrads dsrcs, LayerExecState& exec,
                      runtime::ThreadPool& pool) const {
-  if (fused_) {
-    throw std::logic_error(
-        "Dense::backward: fused layer needs its forward output — use the "
-        "dst overload");
-  }
-  backward(src, /*dst=*/ddst, ddst, dsrc, need_dsrc, exec, pool);
-}
-
-void Dense::backward(const Tensor& src, const Tensor& dst, Tensor& ddst,
-                     Tensor& dsrc, bool need_dsrc, LayerExecState& exec,
-                     runtime::ThreadPool& pool) const {
+  check_inputs(srcs.size(), dsrcs.size());
+  const Tensor& src = *srcs[0];
   if (src.shape() != input_shape() || ddst.shape() != output_shape()) {
     throw std::invalid_argument("Dense::backward: shape mismatch");
   }
@@ -176,12 +171,14 @@ void Dense::backward(const Tensor& src, const Tensor& dst, Tensor& ddst,
         },
         grain);
   }
-  if (!need_dsrc) return;
+  Tensor* dsrc = dsrcs[0];
+  if (dsrc == nullptr) return;
   CF_TRACE_SCOPE(span_label_bwd_data().c_str(), "dense");
   const runtime::ScopedTimer timer(exec.timers.bwd_data);
-  if (dsrc.shape() != input_shape()) {
+  if (dsrc->shape() != input_shape()) {
     throw std::invalid_argument("Dense::backward: dsrc shape mismatch");
   }
+  float* ds = dsrc->data();
   pool.parallel_for(
       static_cast<std::size_t>(in_),
       [&](std::size_t begin, std::size_t end, std::size_t) {
@@ -189,7 +186,7 @@ void Dense::backward(const Tensor& src, const Tensor& dst, Tensor& ddst,
           const float* wrow = weights_.data() + i * out_;
           float acc = 0.0f;
           for (std::int64_t o = 0; o < out_; ++o) acc += wrow[o] * d[o];
-          dsrc[i] = acc;
+          ds[i] = acc;
         }
       },
       grain);

@@ -18,24 +18,16 @@ class Dense final : public Layer {
   std::string kind() const override { return "dense"; }
 
   /// Input: plain {in_features}. Output: plain {out_features}.
-  tensor::Shape plan(const tensor::Shape& input) override;
+  tensor::Shape plan(std::span<const tensor::Shape> inputs) override;
 
-  using Layer::backward;
-  using Layer::forward;
-
-  void forward(const tensor::Tensor& src, tensor::Tensor& dst,
-               LayerExecState& exec,
+  void forward(Inputs srcs, tensor::Tensor& dst, LayerExecState& exec,
                runtime::ThreadPool& pool) const override;
-  void backward(const tensor::Tensor& src, tensor::Tensor& ddst,
-                tensor::Tensor& dsrc, bool need_dsrc, LayerExecState& exec,
-                runtime::ThreadPool& pool) const override;
-  void backward(const tensor::Tensor& src, const tensor::Tensor& dst,
-                tensor::Tensor& ddst, tensor::Tensor& dsrc, bool need_dsrc,
-                LayerExecState& exec,
+  void backward(Inputs srcs, const tensor::Tensor& dst, tensor::Tensor& ddst,
+                InputGrads dsrcs, LayerExecState& exec,
                 runtime::ThreadPool& pool) const override;
 
-  // Reduced-precision inference forwards (dnn/forward_rp.cpp); the
-  // fp32 chunked reduction above is untouched.
+  // Reduced-precision inference forward (dnn/forward_rp.cpp); the fp32
+  // chunked reduction above is untouched.
   bool supports_precision(Precision p) const override {
     static_cast<void>(p);
     return true;
@@ -44,18 +36,6 @@ class Dense final : public Layer {
                     std::span<const bf16_t> params, LayerExecState& exec,
                     runtime::ThreadPool& pool) const override;
   void pack_weights_bf16(std::span<bf16_t> segment) const override;
-  void forward_int8w(const tensor::Tensor& src, tensor::Tensor& dst,
-                     std::span<const std::int8_t> qweights,
-                     std::span<const float> scales, LayerExecState& exec,
-                     runtime::ThreadPool& pool) const override;
-  std::size_t int8_weight_count() const override {
-    return static_cast<std::size_t>(in_ * out_);
-  }
-  std::size_t int8_scale_count() const override {
-    return static_cast<std::size_t>(out_);
-  }
-  void quantize_weights_int8(std::span<std::int8_t> qweights,
-                             std::span<float> scales) const override;
 
   /// Post-op fusion of a trailing LeakyReLU (see Conv3d::fuse_leaky_relu
   /// for the bitwise-equivalence argument).

@@ -42,6 +42,12 @@ ExecContext::ExecContext(Network& net, ExecMode mode, Precision precision)
         "ExecContext: training contexts are fp32-only (DESIGN.md §2.5)");
   }
   exec_.resize(net.layer_count());
+  std::size_t max_arity = 0;
+  for (std::size_t i = 0; i < net.layer_count(); ++i) {
+    max_arity = std::max(max_arity, net.graph().inputs(i).size());
+  }
+  src_ptrs_.reserve(max_arity);
+  dsrc_ptrs_.reserve(max_arity);
   if (mode_ == ExecMode::kTraining) {
     input_ = Tensor(net.input_shape());
     build_training_buffers();
@@ -112,24 +118,41 @@ void ExecContext::build_training_buffers() {
     diff_bytes_ = plan.diff_sum * sizeof(float);
   }
 
-  // Fan-in accumulation: one shared buffer sized to the largest tensor
-  // that can receive several gradient contributions; every such node's
-  // accum tensor aliases it at offset 0 — backward uses them strictly
-  // one at a time. Empty for purely sequential networks.
-  const std::size_t accum_floats = net_->bwd_accum_floats();
-  if (accum_floats > 0) {
-    accum_arena_ = runtime::AlignedBuffer<float>(accum_floats);
-    accum_.resize(n_layers);
-    for (std::size_t i = 0; i < n_layers; ++i) {
-      const std::size_t contributions =
-          graph.consumers(i).size() + (graph.is_head(i) ? 1 : 0);
-      if (contributions > 1) {
-        accum_[i] = Tensor(net_->layer(i).output_shape());
-        accum_[i].alias({accum_arena_.data(), accum_[i].size()});
+  // Fan-in merges: replay the backward sweep's write order once. Heads
+  // are seeded from dloss before the sweep; after that the first edge
+  // to reach a producer overwrites its diff, and every later edge —
+  // another consumer, or a repeated edge of the same node — gets a
+  // merge tensor. A node's merge tensors sit side by side in one arena
+  // that every node reuses, sized for the node needing the most. Empty
+  // for sequential networks.
+  merge_.resize(n_layers);
+  std::vector<std::uint8_t> written(n_layers, 0);
+  for (NodeId h : graph.heads()) written[h] = 1;
+  std::size_t merge_floats = 0;
+  for (std::size_t i = n_layers; i-- > 0;) {
+    const std::vector<NodeId>& ins = graph.inputs(i);
+    merge_[i].resize(ins.size());
+    std::size_t floats = 0;
+    for (std::size_t k = 0; k < ins.size(); ++k) {
+      if (ins[k] == kGraphInput) continue;
+      if (written[ins[k]] == 0) {
+        written[ins[k]] = 1;
+        continue;
       }
+      merge_[i][k] = Tensor(net_->layer(ins[k]).output_shape());
+      floats += merge_[i][k].size();
+    }
+    merge_floats = std::max(merge_floats, floats);
+  }
+  merge_arena_ = runtime::AlignedBuffer<float>(merge_floats);
+  for (std::vector<Tensor>& merges : merge_) {
+    std::size_t off = 0;
+    for (Tensor& m : merges) {
+      if (m.empty()) continue;
+      m.alias({merge_arena_.data() + off, m.size()});
+      off += m.size();
     }
   }
-  diff_written_.assign(n_layers, 0);
 
   // Backward scratch: one node's backward runs at a time within a
   // stream, so the planner hands every node the same max-sized arena;
@@ -311,29 +334,14 @@ const Tensor& ExecContext::run_forward(const Tensor& staged,
                                        runtime::ThreadPool& pool) {
   CF_TRACE_SCOPE("net/forward", "dnn");
   const Graph& graph = net_->graph();
-  const bool int8w = precision_ == Precision::kInt8Weights;
   for (std::size_t i = 0; i < net_->layer_count(); ++i) {
     const Layer& layer = net_->layer(i);
     CF_TRACE_SCOPE(layer.span_label_fwd().c_str(), layer.kind().c_str());
-    const std::vector<NodeId>& ins = graph.inputs(i);
-    if (ins.size() == 1) {
-      const Tensor& src =
-          ins[0] == kGraphInput ? staged : activations_[ins[0]];
-      if (int8w && layer.int8_weight_count() > 0) {
-        layer.forward_int8w(src, activations_[i],
-                            net_->int8_weight_segment(i),
-                            net_->int8_scale_segment(i), exec_[i], pool);
-      } else {
-        layer.forward(src, activations_[i], exec_[i], pool);
-      }
-    } else {
-      src_ptrs_.clear();
-      for (NodeId p : ins) {
-        src_ptrs_.push_back(p == kGraphInput ? &staged : &activations_[p]);
-      }
-      layer.forward_multi({src_ptrs_.data(), src_ptrs_.size()},
-                          activations_[i], exec_[i], pool);
+    src_ptrs_.clear();
+    for (NodeId p : graph.inputs(i)) {
+      src_ptrs_.push_back(p == kGraphInput ? &staged : &activations_[p]);
     }
+    layer.forward(src_ptrs_, activations_[i], exec_[i], pool);
   }
   forward_done_ = true;
   // A single head hands back its activation directly (the bitwise path
@@ -401,68 +409,41 @@ void ExecContext::backward(const Tensor& dloss, runtime::ThreadPool& pool,
 
   // Seed the head diffs from the per-head slices of dloss. A head that
   // is also consumed downstream gets its consumers' contributions
-  // added on top during the sweep.
-  std::fill(diff_written_.begin(), diff_written_.end(), 0);
+  // merged on top during the sweep.
   for (std::size_t h = 0; h < net_->head_count(); ++h) {
     const NodeId head = net_->head(h);
     std::memcpy(diffs_[head].data(), dloss.data() + net_->head_offset(h),
                 diffs_[head].size() * sizeof(float));
-    diff_written_[head] = 1;
   }
 
   for (std::size_t i = n; i-- > 0;) {
     const Layer& layer = net_->layer(i);
     const std::vector<NodeId>& ins = graph.inputs(i);
+    std::vector<Tensor>& merges = merge_[i];
+    src_ptrs_.clear();
+    dsrc_ptrs_.clear();
+    for (std::size_t k = 0; k < ins.size(); ++k) {
+      const NodeId p = ins[k];
+      if (p == kGraphInput) {
+        // The data gradient toward the network input is skipped.
+        src_ptrs_.push_back(&input_);
+        dsrc_ptrs_.push_back(nullptr);
+      } else {
+        src_ptrs_.push_back(&activations_[p]);
+        dsrc_ptrs_.push_back(merges[k].empty() ? &diffs_[p] : &merges[k]);
+      }
+    }
     {
       CF_TRACE_SCOPE(layer.span_label_bwd().c_str(), layer.kind().c_str());
-      if (ins.size() == 1) {
-        const NodeId p = ins[0];
-        const Tensor& src = p == kGraphInput ? input_ : activations_[p];
-        if (p == kGraphInput) {
-          // The data gradient toward the network input is skipped; pass
-          // the node's own ddst as an untouched dummy dsrc.
-          layer.backward(src, activations_[i], diffs_[i], diffs_[i],
-                         /*need_dsrc=*/false, exec_[i], pool);
-        } else if (!diff_written_[p]) {
-          // First contribution: the layer overwrites the producer's
-          // diff directly — the sequential fast path.
-          layer.backward(src, activations_[i], diffs_[i], diffs_[p],
-                         /*need_dsrc=*/true, exec_[i], pool);
-          diff_written_[p] = 1;
-        } else {
-          // Fan-in: compute into the shared accumulation tensor, then
-          // add in place. Contributions land in reverse schedule order
-          // — deterministic by construction.
-          layer.backward(src, activations_[i], diffs_[i], accum_[p],
-                         /*need_dsrc=*/true, exec_[i], pool);
-          accumulate_into(diffs_[p], accum_[p], pool);
+      layer.backward(src_ptrs_, activations_[i], diffs_[i], dsrc_ptrs_,
+                     exec_[i], pool);
+      // Fan-in: add each merge contribution into its producer's diff,
+      // in edge order. Contributions land in reverse schedule order —
+      // deterministic by construction.
+      for (std::size_t k = 0; k < ins.size(); ++k) {
+        if (!merges[k].empty()) {
+          accumulate_into(diffs_[ins[k]], merges[k], pool);
         }
-      } else {
-        src_ptrs_.clear();
-        dsrc_ptrs_.clear();
-        need_flags_.clear();
-        accum_flags_.clear();
-        for (NodeId p : ins) {
-          if (p == kGraphInput) {
-            src_ptrs_.push_back(&input_);
-            dsrc_ptrs_.push_back(&diffs_[i]);  // dummy, need=0
-            need_flags_.push_back(0);
-            accum_flags_.push_back(0);
-          } else {
-            src_ptrs_.push_back(&activations_[p]);
-            dsrc_ptrs_.push_back(&diffs_[p]);
-            need_flags_.push_back(1);
-            // Edge order within one node is left to right; a repeated
-            // producer accumulates on its second edge.
-            accum_flags_.push_back(diff_written_[p] ? 1 : 0);
-            diff_written_[p] = 1;
-          }
-        }
-        layer.backward_multi(
-            {src_ptrs_.data(), src_ptrs_.size()}, activations_[i],
-            diffs_[i], {dsrc_ptrs_.data(), dsrc_ptrs_.size()},
-            {need_flags_.data(), need_flags_.size()},
-            {accum_flags_.data(), accum_flags_.size()}, exec_[i], pool);
       }
     }
     if (grad_ready && net_->segment_size(i) > 0) grad_ready(i);
@@ -540,7 +521,7 @@ std::size_t ExecContext::total_bytes() const noexcept {
          input16_.size() * sizeof(bf16_t) +
          output_.size() * sizeof(float) + activation_bytes() +
          diff_arena_bytes() + scratch_bytes() + workspace_bytes() +
-         grad_bytes() + accum_arena_.size() * sizeof(float);
+         grad_bytes() + merge_arena_.size() * sizeof(float);
 }
 
 }  // namespace cf::dnn

@@ -12,8 +12,10 @@
 //
 // Execution walks the network's schedule (insertion order, topological
 // by construction). Each node reads its producers' activations by edge;
-// backward walks the reverse schedule and accumulates fan-in gradient
-// contributions deterministically in edge order (DESIGN.md §2.8).
+// backward walks the reverse schedule. Layers only ever overwrite their
+// dsrc targets, so this context is the one place fan-in gradient
+// contributions are merged — deterministically, in reverse schedule and
+// edge order (DESIGN.md §2.8).
 //
 // ExecMode picks what gets allocated:
 //  * kTraining — the full set. Buffer placement matches the planner
@@ -28,7 +30,6 @@
 //    backward(), zero_grads() and params() throw.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <span>
 #include <vector>
@@ -70,7 +71,7 @@ class ExecContext {
   /// network returns the head's activation directly; multiple heads are
   /// concatenated flat, in head order. Training contexts stage `input`
   /// into the context-owned input copy first (backward re-reads it);
-  /// fp32/int8w *inference* contexts skip that staging copy entirely
+  /// fp32 *inference* contexts skip that staging copy entirely
   /// and read `input` in place — `input` must stay alive and unmodified
   /// until forward returns.
   const tensor::Tensor& forward(const tensor::Tensor& input,
@@ -80,7 +81,7 @@ class ExecContext {
   /// shape). Callers that assemble the network input anyway — the
   /// Trainer's batch gather, with augmentation folded in — write it
   /// directly and call forward_staged(), eliminating forward()'s
-  /// staging memcpy. fp32/int8w only: a bf16 context has no fp32 input
+  /// staging memcpy. fp32 only: a bf16 context has no fp32 input
   /// buffer (throws std::logic_error).
   std::span<float> input_staging();
 
@@ -172,7 +173,7 @@ class ExecContext {
     return activation_bytes() + diff_arena_bytes() + scratch_bytes();
   }
   /// Everything: input staging + activations + diffs + scratch +
-  /// workspace + grads + fan-in accumulation buffer.
+  /// workspace + grads + fan-in merge buffers.
   std::size_t total_bytes() const noexcept;
 
  private:
@@ -181,7 +182,7 @@ class ExecContext {
   void build_inference_buffers_bf16();
   const tensor::Tensor& forward_bf16_path(const tensor::Tensor& input,
                                           runtime::ThreadPool& pool);
-  /// The fp32/int8w schedule loop over an already-staged input tensor.
+  /// The fp32 schedule loop over an already-staged input tensor.
   const tensor::Tensor& run_forward(const tensor::Tensor& staged,
                                     runtime::ThreadPool& pool);
 
@@ -200,7 +201,7 @@ class ExecContext {
   runtime::AlignedBuffer<bf16_t> input16_;
   runtime::AlignedBuffer<bf16_t> act16_arena_;
   // The concatenated multi-head output (fp32; also the bf16 widening
-  // target). Unallocated for single-head fp32/int8w contexts — those
+  // target). Unallocated for single-head fp32 contexts — those
   // return the head activation itself.
   tensor::Tensor output_;
 
@@ -209,25 +210,26 @@ class ExecContext {
   // diff_arena_ backs the slot-colored diff buffers when the network
   // was planned; scratch_arena_ the backward scratch; workspace_arena_
   // the forward staging regions; grad_arena_ the flat gradients;
-  // accum_arena_ the shared fan-in gradient accumulation buffer (all
-  // accum tensors alias it — they are used strictly one at a time).
+  // merge_arena_ the fan-in merge buffers.
   runtime::AlignedBuffer<float> act_arena_;
   runtime::AlignedBuffer<float> diff_arena_;
   runtime::AlignedBuffer<float> scratch_arena_;
   runtime::AlignedBuffer<float> workspace_arena_;
   runtime::AlignedBuffer<float> grad_arena_;
-  runtime::AlignedBuffer<float> accum_arena_;
-  std::vector<tensor::Tensor> accum_;  // per fan-in node; alias accum_arena_
+  runtime::AlignedBuffer<float> merge_arena_;
   std::size_t act_bytes_ = 0;   // per-node sum (training) / arena size
   std::size_t diff_bytes_ = 0;  // per-node sum or slot-arena size
 
-  // backward() bookkeeping: which diffs already hold a contribution
-  // this sweep, plus reusable gather scratch for multi-input dispatch.
-  std::vector<std::uint8_t> diff_written_;
+  // Fan-in merges, [node][edge]: an edge whose producer's diff already
+  // holds a contribution when the node runs backward gets a merge
+  // tensor (aliasing merge_arena_) for the layer to write, which
+  // backward() then adds into the producer's diff. Other entries are
+  // empty; training contexts only.
+  std::vector<std::vector<tensor::Tensor>> merge_;
+
+  // Reusable per-node gather of the layer's inputs and dsrc targets.
   std::vector<const tensor::Tensor*> src_ptrs_;
   std::vector<tensor::Tensor*> dsrc_ptrs_;
-  std::vector<std::uint8_t> need_flags_;
-  std::vector<std::uint8_t> accum_flags_;
 
   bool forward_done_ = false;
 };

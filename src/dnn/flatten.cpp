@@ -17,7 +17,9 @@ Flatten::Flatten(std::string name, std::int64_t channels)
   }
 }
 
-Shape Flatten::plan(const Shape& input) {
+Shape Flatten::plan(std::span<const Shape> inputs) {
+  check_inputs(inputs.size());
+  const Shape& input = inputs[0];
   if (input.rank() != 5 || input[4] != kChannelBlock ||
       input[0] != tensor::blocked_channel_count(channels_)) {
     throw std::invalid_argument("Flatten::plan: expected blocked input "
@@ -32,9 +34,11 @@ Shape Flatten::plan(const Shape& input) {
   return out;
 }
 
-void Flatten::forward(const Tensor& src, Tensor& dst, LayerExecState& exec,
+void Flatten::forward(Inputs srcs, Tensor& dst, LayerExecState& exec,
                       runtime::ThreadPool& pool) const {
   const runtime::ScopedTimer timer(exec.timers.fwd);
+  check_inputs(srcs.size());
+  const Tensor& src = *srcs[0];
   if (src.shape() != input_shape() || dst.shape() != output_shape()) {
     throw std::invalid_argument("Flatten::forward: shape mismatch");
   }
@@ -61,11 +65,12 @@ void Flatten::forward(const Tensor& src, Tensor& dst, LayerExecState& exec,
       grain);
 }
 
-void Flatten::backward(const Tensor& src, Tensor& ddst, Tensor& dsrc,
-                       bool need_dsrc, LayerExecState& exec,
+void Flatten::backward(Inputs srcs, const Tensor& /*dst*/, Tensor& ddst,
+                       InputGrads dsrcs, LayerExecState& exec,
                        runtime::ThreadPool& pool) const {
-  (void)src;
-  if (!need_dsrc) return;
+  check_inputs(srcs.size(), dsrcs.size());
+  if (dsrcs[0] == nullptr) return;
+  Tensor& dsrc = *dsrcs[0];
   const runtime::ScopedTimer timer(exec.timers.bwd_data);
   if (ddst.shape() != output_shape() || dsrc.shape() != input_shape()) {
     throw std::invalid_argument("Flatten::backward: shape mismatch");

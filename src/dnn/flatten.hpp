@@ -17,16 +17,12 @@ class Flatten final : public Layer {
 
   std::string kind() const override { return "reorder"; }
 
-  tensor::Shape plan(const tensor::Shape& input) override;
+  tensor::Shape plan(std::span<const tensor::Shape> inputs) override;
 
-  using Layer::backward;
-  using Layer::forward;
-
-  void forward(const tensor::Tensor& src, tensor::Tensor& dst,
-               LayerExecState& exec,
+  void forward(Inputs srcs, tensor::Tensor& dst, LayerExecState& exec,
                runtime::ThreadPool& pool) const override;
-  void backward(const tensor::Tensor& src, tensor::Tensor& ddst,
-                tensor::Tensor& dsrc, bool need_dsrc, LayerExecState& exec,
+  void backward(Inputs srcs, const tensor::Tensor& dst, tensor::Tensor& ddst,
+                InputGrads dsrcs, LayerExecState& exec,
                 runtime::ThreadPool& pool) const override;
 
   // bf16 pass-through (dnn/forward_rp.cpp): the reorder is a pure

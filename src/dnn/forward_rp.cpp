@@ -6,14 +6,11 @@
 // precision policy: fp32 is the bitwise reference, these paths are
 // tolerance-gated).
 //
-//  * bf16 — weights and activations stored as bf16, widened on load
-//    (vpmovzxwd + vpslld via precision.hpp's bf16_load_16), accumulated
-//    in fp32, narrowed with round-to-nearest-even on store. Biases are
-//    read from the layer's fp32 tensors — they are tiny and keeping
-//    them fp32 costs nothing while removing one rounding step.
-//  * int8w — weights-only int8: fp32 activations and accumulation; the
-//    quantized tiles are dequantized on load against per-output-channel
-//    scale vectors (int8_dequant_16).
+// Weights and activations are stored as bf16, widened on load
+// (vpmovzxwd + vpslld via precision.hpp's bf16_load_16), accumulated in
+// fp32 and narrowed with round-to-nearest-even on store. Biases are
+// read from the layer's fp32 tensors — they are tiny and keeping them
+// fp32 costs nothing while removing one rounding step.
 //
 // Loop structures and summation orders mirror the fp32 kernels exactly,
 // so the serving determinism rule (a context's forward is a pure
@@ -343,61 +340,7 @@ inline void micro_fwd_row_ic1_bf16(bf16_t* __restrict dst_row,
 
 #endif  // __AVX512F__ conv micro-kernels
 
-#if defined(__AVX512F__)
-
-/// int8 sibling: the 16x16 weight tile is int8, dequantized against
-/// this output block's 16-lane scale vector; source row stays fp32.
-inline void micro_fwd_row_i8(float* __restrict acc,
-                             const float* __restrict src_row,
-                             const std::int8_t* __restrict w,
-                             __m512 scale16, std::int64_t count,
-                             std::int64_t stride) {
-  std::int64_t ow = 0;
-  const std::int64_t sstep = stride * kB;
-  for (; ow + kOwBlock <= count; ow += kOwBlock) {
-    float* d = acc + ow * kB;
-    const float* s = src_row + ow * sstep;
-    __m512 a0 = _mm512_loadu_ps(d + 0 * kB);
-    __m512 a1 = _mm512_loadu_ps(d + 1 * kB);
-    __m512 a2 = _mm512_loadu_ps(d + 2 * kB);
-    __m512 a3 = _mm512_loadu_ps(d + 3 * kB);
-    __m512 a4 = _mm512_loadu_ps(d + 4 * kB);
-    __m512 a5 = _mm512_loadu_ps(d + 5 * kB);
-    __m512 a6 = _mm512_loadu_ps(d + 6 * kB);
-    __m512 a7 = _mm512_loadu_ps(d + 7 * kB);
-    for (int ic = 0; ic < kB; ++ic) {
-      const __m512 wv = int8_dequant_16(w + ic * kB, scale16);
-      a0 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[0 * sstep + ic]), a0);
-      a1 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[1 * sstep + ic]), a1);
-      a2 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[2 * sstep + ic]), a2);
-      a3 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[3 * sstep + ic]), a3);
-      a4 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[4 * sstep + ic]), a4);
-      a5 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[5 * sstep + ic]), a5);
-      a6 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[6 * sstep + ic]), a6);
-      a7 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[7 * sstep + ic]), a7);
-    }
-    _mm512_storeu_ps(d + 0 * kB, a0);
-    _mm512_storeu_ps(d + 1 * kB, a1);
-    _mm512_storeu_ps(d + 2 * kB, a2);
-    _mm512_storeu_ps(d + 3 * kB, a3);
-    _mm512_storeu_ps(d + 4 * kB, a4);
-    _mm512_storeu_ps(d + 5 * kB, a5);
-    _mm512_storeu_ps(d + 6 * kB, a6);
-    _mm512_storeu_ps(d + 7 * kB, a7);
-  }
-  for (; ow < count; ++ow) {
-    const float* s = src_row + ow * sstep;
-    float* d = acc + ow * kB;
-    __m512 a = _mm512_loadu_ps(d);
-    for (int ic = 0; ic < kB; ++ic) {
-      a = _mm512_fmadd_ps(int8_dequant_16(w + ic * kB, scale16),
-                          _mm512_set1_ps(s[ic]), a);
-    }
-    _mm512_storeu_ps(d, a);
-  }
-}
-
-#else  // portable fallbacks
+#if !defined(__AVX512F__)  // portable fallback
 
 /// Scalar tier of the paired kernel's work: one tap over the
 /// fp32-staged source row against one bf16 weight tile, same
@@ -418,26 +361,7 @@ inline void micro_fwd_row_bf16(float* __restrict acc,
   }
 }
 
-inline void micro_fwd_row_i8(float* __restrict acc,
-                             const float* __restrict src_row,
-                             const std::int8_t* __restrict w,
-                             const float* __restrict scale16,
-                             std::int64_t count, std::int64_t stride) {
-  const std::int64_t sstep = stride * kB;
-  for (std::int64_t ow = 0; ow < count; ++ow) {
-    const float* s = src_row + ow * sstep;
-    float* d = acc + ow * kB;
-    for (int ic = 0; ic < kB; ++ic) {
-      const float sv = s[ic];
-      const std::int8_t* wrow = w + ic * kB;
-      for (int oc = 0; oc < kB; ++oc) {
-        d[oc] += static_cast<float>(wrow[oc]) * scale16[oc] * sv;
-      }
-    }
-  }
-}
-
-#endif  // __AVX512F__
+#endif  // !__AVX512F__
 
 // --- padded staging (bf16 -> fp32) ------------------------------------
 
@@ -792,206 +716,6 @@ void Conv3d::forward_bf16(const bf16_t* src, bf16_t* dst,
 #endif  // __AVX512F__
 }
 
-void Conv3d::forward_int8w(const Tensor& src, Tensor& dst,
-                           std::span<const std::int8_t> qweights,
-                           std::span<const float> scales,
-                           LayerExecState& exec,
-                           runtime::ThreadPool& pool) const {
-  const runtime::ScopedTimer timer(exec.timers.fwd);
-  if (src.shape() != input_shape() || dst.shape() != output_shape()) {
-    throw std::invalid_argument("Conv3d::forward_int8w: shape mismatch");
-  }
-  if (qweights.size() != int8_weight_count() ||
-      scales.size() != int8_scale_count()) {
-    throw std::logic_error("Conv3d::forward_int8w: bad quantized segment");
-  }
-  stage_padded_src(src, exec, pool);
-  const float* padded = exec.workspace.data();
-  const std::int8_t* qbase = qweights.data();
-  const std::int64_t ocb_count = config_.out_channels / kB;
-  const std::int64_t k = config_.kernel;
-  const std::int64_t stride = config_.stride;
-  const std::int64_t dp = pd_, hp = ph_, wp = pw_;
-  const bool fused = fused_;
-  const float slope = slope_;
-
-  if (plain_input_) {
-    const std::int64_t ic_count = config_.in_channels;
-    pool.parallel_for(
-        static_cast<std::size_t>(ocb_count * out_d_),
-        [&](std::size_t begin, std::size_t end, std::size_t) {
-          std::vector<float> acc(static_cast<std::size_t>(out_w_) * kB);
-          for (std::size_t job = begin; job < end; ++job) {
-            const std::int64_t ocb =
-                static_cast<std::int64_t>(job) / out_d_;
-            const std::int64_t od = static_cast<std::int64_t>(job) % out_d_;
-            const float* b = bias_.data() + ocb * kB;
-            const float* sc = scales.data() + ocb * kB;
-#if defined(__AVX512F__)
-            const __m512 scale16 = _mm512_loadu_ps(sc);
-#endif
-            for (std::int64_t oh = 0; oh < out_h_; ++oh) {
-              for (std::int64_t ow = 0; ow < out_w_; ++ow) {
-                std::memcpy(acc.data() + ow * kB, b, kB * sizeof(float));
-              }
-              for (std::int64_t kd = 0; kd < k; ++kd) {
-                const std::int64_t id = od * stride + kd;
-                for (std::int64_t kh = 0; kh < k; ++kh) {
-                  const std::int64_t ih = oh * stride + kh;
-                  for (std::int64_t kw = 0; kw < k; ++kw) {
-                    const std::int8_t* wtile =
-                        qbase +
-                        ((((ocb * k + kd) * k + kh) * k + kw) * ic_count) *
-                            kB;
-                    for (std::int64_t ci = 0; ci < ic_count; ++ci) {
-                      const float* splane =
-                          padded + ((ci * dp + id) * hp + ih) * wp + kw;
-#if defined(__AVX512F__)
-                      const __m512 wv =
-                          int8_dequant_16(wtile + ci * kB, scale16);
-                      std::int64_t ow = 0;
-                      for (; ow + 4 <= out_w_; ow += 4) {
-                        float* d = acc.data() + ow * kB;
-                        const float* s = splane + ow * stride;
-                        __m512 a0 = _mm512_loadu_ps(d + 0 * kB);
-                        __m512 a1 = _mm512_loadu_ps(d + 1 * kB);
-                        __m512 a2 = _mm512_loadu_ps(d + 2 * kB);
-                        __m512 a3 = _mm512_loadu_ps(d + 3 * kB);
-                        a0 = _mm512_fmadd_ps(
-                            wv, _mm512_set1_ps(s[0 * stride]), a0);
-                        a1 = _mm512_fmadd_ps(
-                            wv, _mm512_set1_ps(s[1 * stride]), a1);
-                        a2 = _mm512_fmadd_ps(
-                            wv, _mm512_set1_ps(s[2 * stride]), a2);
-                        a3 = _mm512_fmadd_ps(
-                            wv, _mm512_set1_ps(s[3 * stride]), a3);
-                        _mm512_storeu_ps(d + 0 * kB, a0);
-                        _mm512_storeu_ps(d + 1 * kB, a1);
-                        _mm512_storeu_ps(d + 2 * kB, a2);
-                        _mm512_storeu_ps(d + 3 * kB, a3);
-                      }
-                      for (; ow < out_w_; ++ow) {
-                        float* d = acc.data() + ow * kB;
-                        _mm512_storeu_ps(
-                            d, _mm512_fmadd_ps(
-                                   wv,
-                                   _mm512_set1_ps(splane[ow * stride]),
-                                   _mm512_loadu_ps(d)));
-                      }
-#else
-                      const std::int8_t* wrow = wtile + ci * kB;
-                      for (std::int64_t ow = 0; ow < out_w_; ++ow) {
-                        const float sv = splane[ow * stride];
-                        float* d = acc.data() + ow * kB;
-                        for (int oc = 0; oc < kB; ++oc) {
-                          d[oc] +=
-                              static_cast<float>(wrow[oc]) * sc[oc] * sv;
-                        }
-                      }
-#endif
-                    }
-                  }
-                }
-              }
-              float* drow =
-                  dst.data() +
-                  (((ocb * out_d_ + od) * out_h_ + oh) * out_w_) * kB;
-              if (fused) eltwise_row(acc.data(), out_w_ * kB, slope);
-              std::memcpy(drow, acc.data(),
-                          static_cast<std::size_t>(out_w_) * kB *
-                              sizeof(float));
-            }
-          }
-        },
-        exec.intraop_grain);
-    return;
-  }
-
-  const std::int64_t icb_count = config_.in_channels / kB;
-  pool.parallel_for(
-      static_cast<std::size_t>(ocb_count * out_d_),
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        std::vector<float> acc(static_cast<std::size_t>(out_w_) * kB);
-        for (std::size_t job = begin; job < end; ++job) {
-          const std::int64_t ocb = static_cast<std::int64_t>(job) / out_d_;
-          const std::int64_t od = static_cast<std::int64_t>(job) % out_d_;
-          const float* sc = scales.data() + ocb * kB;
-#if defined(__AVX512F__)
-          const __m512 scale16 = _mm512_loadu_ps(sc);
-#endif
-          for (std::int64_t oh = 0; oh < out_h_; ++oh) {
-            const float* b = bias_.data() + ocb * kB;
-            for (std::int64_t ow = 0; ow < out_w_; ++ow) {
-              std::memcpy(acc.data() + ow * kB, b, kB * sizeof(float));
-            }
-            for (std::int64_t icb = 0; icb < icb_count; ++icb) {
-              for (std::int64_t kd = 0; kd < k; ++kd) {
-                const std::int64_t id = od * stride + kd;
-                for (std::int64_t kh = 0; kh < k; ++kh) {
-                  const std::int64_t ih = oh * stride + kh;
-                  const float* srow =
-                      padded + (((icb * dp + id) * hp + ih) * wp) * kB;
-                  const std::int8_t* wtile =
-                      qbase +
-                      ((((ocb * icb_count + icb) * k + kd) * k + kh) * k) *
-                          kB * kB;
-                  for (std::int64_t kw = 0; kw < k; ++kw) {
-#if defined(__AVX512F__)
-                    micro_fwd_row_i8(acc.data(), srow + kw * kB,
-                                     wtile + kw * kB * kB, scale16, out_w_,
-                                     stride);
-#else
-                    micro_fwd_row_i8(acc.data(), srow + kw * kB,
-                                     wtile + kw * kB * kB, sc, out_w_,
-                                     stride);
-#endif
-                  }
-                }
-              }
-            }
-            float* drow = dst.data() +
-                          (((ocb * out_d_ + od) * out_h_ + oh) * out_w_) *
-                              kB;
-            if (fused) eltwise_row(acc.data(), out_w_ * kB, slope);
-            std::memcpy(drow, acc.data(),
-                        static_cast<std::size_t>(out_w_) * kB *
-                            sizeof(float));
-          }
-        }
-      },
-      exec.intraop_grain);
-}
-
-void Conv3d::quantize_weights_int8(std::span<std::int8_t> qweights,
-                                   std::span<float> scales) const {
-  if (qweights.size() != int8_weight_count() ||
-      scales.size() != int8_scale_count()) {
-    throw std::invalid_argument("Conv3d::quantize_weights_int8: bad spans");
-  }
-  // Both blocked layouts ({OCb, ICb, K, K, K, 16ic, 16oc} and the
-  // plain-input {OCb, K, K, K, IC, 16oc}) keep the 16-oc lanes
-  // innermost and OCb outermost, so oc = (i / per_ocb) * 16 + i % 16.
-  const std::size_t n = qweights.size();
-  const std::size_t ocb_count =
-      static_cast<std::size_t>(config_.out_channels / kB);
-  const std::size_t per_ocb = n / ocb_count;
-  const float* w = weights_.data();
-  std::vector<float> max_abs(scales.size(), 0.0f);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t oc = (i / per_ocb) * kB + i % kB;
-    max_abs[oc] = std::max(max_abs[oc], std::fabs(w[i]));
-  }
-  std::vector<float> inv(scales.size());
-  for (std::size_t oc = 0; oc < scales.size(); ++oc) {
-    scales[oc] = int8_scale_from_max(max_abs[oc]);
-    inv[oc] = max_abs[oc] > 0.0f ? 127.0f / max_abs[oc] : 0.0f;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t oc = (i / per_ocb) * kB + i % kB;
-    qweights[i] = quantize_int8(w[i], inv[oc]);
-  }
-}
-
 // --- Dense ------------------------------------------------------------
 
 void Dense::forward_bf16(const bf16_t* src, bf16_t* dst,
@@ -1076,95 +800,6 @@ void Dense::forward_bf16(const bf16_t* src, bf16_t* dst,
   }
   if (fused_) eltwise_row(out.data(), out_, slope_);
   bf16_from_f32(out.data(), dst, static_cast<std::size_t>(out_));
-}
-
-void Dense::forward_int8w(const Tensor& src, Tensor& dst,
-                          std::span<const std::int8_t> qweights,
-                          std::span<const float> scales,
-                          LayerExecState& exec,
-                          runtime::ThreadPool& pool) const {
-  const runtime::ScopedTimer timer(exec.timers.fwd);
-  if (src.shape() != input_shape() || dst.shape() != output_shape()) {
-    throw std::invalid_argument("Dense::forward_int8w: shape mismatch");
-  }
-  if (qweights.size() != int8_weight_count() ||
-      scales.size() != int8_scale_count()) {
-    throw std::logic_error("Dense::forward_int8w: bad quantized segment");
-  }
-  const std::int8_t* qbase = qweights.data();
-  const float* sc = scales.data();
-  constexpr std::size_t kChunks = 16;
-  constexpr std::int64_t kSerialWorkLimit = 4096;
-  const std::size_t chunks =
-      std::min<std::size_t>(kChunks, static_cast<std::size_t>(in_));
-  const std::size_t chunk_size =
-      (static_cast<std::size_t>(in_) + chunks - 1) / chunks;
-  std::vector<std::vector<float>> partial(
-      chunks, std::vector<float>(static_cast<std::size_t>(out_), 0.0f));
-  const std::size_t grain = std::max<std::size_t>(
-      in_ * out_ <= kSerialWorkLimit ? chunks : 1, exec.intraop_grain);
-  pool.parallel_for(
-      chunks,
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t chunk = begin; chunk < end; ++chunk) {
-          float* acc = partial[chunk].data();
-          const std::size_t lo = chunk * chunk_size;
-          const std::size_t hi =
-              std::min(static_cast<std::size_t>(in_), lo + chunk_size);
-          for (std::size_t i = lo; i < hi; ++i) {
-            const float sv = src[i];
-            const std::int8_t* qrow =
-                qbase + i * static_cast<std::size_t>(out_);
-            std::int64_t o = 0;
-#if defined(__AVX512F__)
-            for (; o + kB <= out_; o += kB) {
-              _mm512_storeu_ps(
-                  acc + o,
-                  _mm512_fmadd_ps(
-                      int8_dequant_16(qrow + o, _mm512_loadu_ps(sc + o)),
-                      _mm512_set1_ps(sv), _mm512_loadu_ps(acc + o)));
-            }
-#endif
-            for (; o < out_; ++o) {
-              acc[o] += static_cast<float>(qrow[o]) * sc[o] * sv;
-            }
-          }
-        }
-      },
-      grain);
-  std::memcpy(dst.data(), bias_.data(),
-              static_cast<std::size_t>(out_) * sizeof(float));
-  for (const auto& acc : partial) {
-    for (std::int64_t o = 0; o < out_; ++o) {
-      dst[static_cast<std::size_t>(o)] += acc[static_cast<std::size_t>(o)];
-    }
-  }
-  if (fused_) eltwise_row(dst.data(), out_, slope_);
-}
-
-void Dense::quantize_weights_int8(std::span<std::int8_t> qweights,
-                                  std::span<float> scales) const {
-  if (qweights.size() != int8_weight_count() ||
-      scales.size() != int8_scale_count()) {
-    throw std::invalid_argument("Dense::quantize_weights_int8: bad spans");
-  }
-  // {I, O} input-major: o = i % out_.
-  const float* w = weights_.data();
-  const std::size_t n = qweights.size();
-  const std::size_t o_count = scales.size();
-  std::vector<float> max_abs(o_count, 0.0f);
-  for (std::size_t i = 0; i < n; ++i) {
-    max_abs[i % o_count] =
-        std::max(max_abs[i % o_count], std::fabs(w[i]));
-  }
-  std::vector<float> inv(o_count);
-  for (std::size_t o = 0; o < o_count; ++o) {
-    scales[o] = int8_scale_from_max(max_abs[o]);
-    inv[o] = max_abs[o] > 0.0f ? 127.0f / max_abs[o] : 0.0f;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    qweights[i] = quantize_int8(w[i], inv[i % o_count]);
-  }
 }
 
 void Dense::pack_weights_bf16(std::span<bf16_t> segment) const {

@@ -24,58 +24,29 @@ Add::Add(std::string name, std::size_t arity)
   }
 }
 
-Shape Add::plan(const Shape& input) {
-  static_cast<void>(input);
-  throw std::logic_error("Add::plan: multi-input node, use plan_multi");
-}
-
-Shape Add::plan_multi(std::span<const Shape> inputs) {
-  if (inputs.size() != arity_) {
-    throw std::invalid_argument("Add::plan_multi: expected " +
-                                std::to_string(arity_) + " inputs");
-  }
+Shape Add::plan(std::span<const Shape> inputs) {
+  check_inputs(inputs.size());
   for (const Shape& s : inputs) {
     if (s != inputs[0]) {
       throw std::invalid_argument(
-          "Add::plan_multi: input shapes differ (" + s.to_string() +
-          " vs " + inputs[0].to_string() + ")");
+          "Add::plan: input shapes differ (" + s.to_string() + " vs " +
+          inputs[0].to_string() + ")");
     }
   }
   set_shapes(inputs[0], inputs[0]);
   return inputs[0];
 }
 
-void Add::forward(const Tensor& src, Tensor& dst, LayerExecState& exec,
+void Add::forward(Inputs srcs, Tensor& dst, LayerExecState& exec,
                   runtime::ThreadPool& pool) const {
-  static_cast<void>(src);
-  static_cast<void>(dst);
-  static_cast<void>(exec);
-  static_cast<void>(pool);
-  throw std::logic_error("Add::forward: multi-input node");
-}
-
-void Add::backward(const Tensor& src, Tensor& ddst, Tensor& dsrc,
-                   bool need_dsrc, LayerExecState& exec,
-                   runtime::ThreadPool& pool) const {
-  static_cast<void>(src);
-  static_cast<void>(ddst);
-  static_cast<void>(dsrc);
-  static_cast<void>(need_dsrc);
-  static_cast<void>(exec);
-  static_cast<void>(pool);
-  throw std::logic_error("Add::backward: multi-input node");
-}
-
-void Add::forward_multi(std::span<const Tensor* const> srcs, Tensor& dst,
-                        LayerExecState& exec,
-                        runtime::ThreadPool& pool) const {
   const runtime::ScopedTimer timer(exec.timers.fwd);
-  if (srcs.size() != arity_ || dst.shape() != output_shape()) {
-    throw std::invalid_argument("Add::forward_multi: shape mismatch");
+  check_inputs(srcs.size());
+  if (dst.shape() != output_shape()) {
+    throw std::invalid_argument("Add::forward: shape mismatch");
   }
   for (const Tensor* s : srcs) {
     if (s->shape() != input_shape()) {
-      throw std::invalid_argument("Add::forward_multi: shape mismatch");
+      throw std::invalid_argument("Add::forward: shape mismatch");
     }
   }
   float* d = dst.data();
@@ -95,33 +66,20 @@ void Add::forward_multi(std::span<const Tensor* const> srcs, Tensor& dst,
       kSerialWorkLimit);
 }
 
-void Add::backward_multi(std::span<const Tensor* const> srcs,
-                         const Tensor& dst, Tensor& ddst,
-                         std::span<Tensor* const> dsrcs,
-                         std::span<const std::uint8_t> need_dsrc,
-                         std::span<const std::uint8_t> accumulate,
-                         LayerExecState& exec,
-                         runtime::ThreadPool& pool) const {
-  static_cast<void>(srcs);
-  static_cast<void>(dst);
+void Add::backward(Inputs srcs, const Tensor& /*dst*/, Tensor& ddst,
+                   InputGrads dsrcs, LayerExecState& exec,
+                   runtime::ThreadPool& /*pool*/) const {
   const runtime::ScopedTimer timer(exec.timers.bwd_data);
-  if (dsrcs.size() != arity_ || ddst.shape() != output_shape()) {
-    throw std::invalid_argument("Add::backward_multi: shape mismatch");
+  check_inputs(srcs.size(), dsrcs.size());
+  if (ddst.shape() != output_shape()) {
+    throw std::invalid_argument("Add::backward: shape mismatch");
   }
-  const float* dd = ddst.data();
-  for (std::size_t k = 0; k < dsrcs.size(); ++k) {
-    if (need_dsrc[k] == 0) continue;
-    float* ds = dsrcs[k]->data();
-    if (accumulate[k] != 0) {
-      pool.parallel_for(
-          ddst.size(),
-          [&](std::size_t begin, std::size_t end, std::size_t) {
-            for (std::size_t i = begin; i < end; ++i) ds[i] += dd[i];
-          },
-          kSerialWorkLimit);
-    } else {
-      std::memcpy(ds, dd, ddst.size() * sizeof(float));
+  for (Tensor* ds : dsrcs) {
+    if (ds == nullptr) continue;
+    if (ds->shape() != input_shape()) {
+      throw std::invalid_argument("Add::backward: dsrc shape mismatch");
     }
+    std::memcpy(ds->data(), ddst.data(), ddst.size() * sizeof(float));
   }
 }
 
@@ -140,7 +98,9 @@ std::unique_ptr<Layer> Add::clone_unplanned() const {
 
 GlobalAvgPool::GlobalAvgPool(std::string name) : Layer(std::move(name)) {}
 
-Shape GlobalAvgPool::plan(const Shape& input) {
+Shape GlobalAvgPool::plan(std::span<const Shape> inputs) {
+  check_inputs(inputs.size());
+  const Shape& input = inputs[0];
   if (input.rank() == 5) {
     if (input[4] != 16) {
       throw std::invalid_argument(
@@ -166,10 +126,11 @@ Shape GlobalAvgPool::plan(const Shape& input) {
   return Shape{channels_};
 }
 
-void GlobalAvgPool::forward(const Tensor& src, Tensor& dst,
-                            LayerExecState& exec,
+void GlobalAvgPool::forward(Inputs srcs, Tensor& dst, LayerExecState& exec,
                             runtime::ThreadPool& pool) const {
   const runtime::ScopedTimer timer(exec.timers.fwd);
+  check_inputs(srcs.size());
+  const Tensor& src = *srcs[0];
   if (src.shape() != input_shape() || dst.shape() != output_shape()) {
     throw std::invalid_argument("GlobalAvgPool::forward: shape mismatch");
   }
@@ -210,18 +171,19 @@ void GlobalAvgPool::forward(const Tensor& src, Tensor& dst,
       });
 }
 
-void GlobalAvgPool::backward(const Tensor& src, Tensor& ddst, Tensor& dsrc,
-                             bool need_dsrc, LayerExecState& exec,
+void GlobalAvgPool::backward(Inputs srcs, const Tensor& /*dst*/,
+                             Tensor& ddst, InputGrads dsrcs,
+                             LayerExecState& exec,
                              runtime::ThreadPool& pool) const {
-  static_cast<void>(src);
-  if (!need_dsrc) return;
+  check_inputs(srcs.size(), dsrcs.size());
+  if (dsrcs[0] == nullptr) return;
   const runtime::ScopedTimer timer(exec.timers.bwd_data);
-  if (ddst.shape() != output_shape() || dsrc.shape() != input_shape()) {
+  if (ddst.shape() != output_shape() || dsrcs[0]->shape() != input_shape()) {
     throw std::invalid_argument("GlobalAvgPool::backward: shape mismatch");
   }
   const float inv = 1.0f / static_cast<float>(voxels_);
   const float* dd = ddst.data();
-  float* ds = dsrc.data();
+  float* ds = dsrcs[0]->data();
   const std::size_t voxels = static_cast<std::size_t>(voxels_);
   if (blocked_) {
     const std::size_t blocks = static_cast<std::size_t>(channels_ / 16);

@@ -20,28 +20,15 @@ class Add final : public Layer {
   std::string kind() const override { return "eltwise"; }
   std::size_t arity() const override { return arity_; }
 
-  /// Multi-input: plan()/forward()/backward() single-input entry points
-  /// throw; the graph drives the *_multi set.
-  tensor::Shape plan(const tensor::Shape& input) override;
-  tensor::Shape plan_multi(std::span<const tensor::Shape> inputs) override;
+  /// All inputs share one shape, which is also the output shape.
+  tensor::Shape plan(std::span<const tensor::Shape> inputs) override;
 
-  void forward(const tensor::Tensor& src, tensor::Tensor& dst,
-               LayerExecState& exec,
+  void forward(Inputs srcs, tensor::Tensor& dst, LayerExecState& exec,
                runtime::ThreadPool& pool) const override;
-  void backward(const tensor::Tensor& src, tensor::Tensor& ddst,
-                tensor::Tensor& dsrc, bool need_dsrc, LayerExecState& exec,
+  /// Every needed dsrc receives a copy of ddst.
+  void backward(Inputs srcs, const tensor::Tensor& dst, tensor::Tensor& ddst,
+                InputGrads dsrcs, LayerExecState& exec,
                 runtime::ThreadPool& pool) const override;
-
-  void forward_multi(std::span<const tensor::Tensor* const> srcs,
-                     tensor::Tensor& dst, LayerExecState& exec,
-                     runtime::ThreadPool& pool) const override;
-  void backward_multi(std::span<const tensor::Tensor* const> srcs,
-                      const tensor::Tensor& dst, tensor::Tensor& ddst,
-                      std::span<tensor::Tensor* const> dsrcs,
-                      std::span<const std::uint8_t> need_dsrc,
-                      std::span<const std::uint8_t> accumulate,
-                      LayerExecState& exec,
-                      runtime::ThreadPool& pool) const override;
 
   FlopCounts flops() const override;
   std::unique_ptr<Layer> clone_unplanned() const override;
@@ -58,16 +45,12 @@ class GlobalAvgPool final : public Layer {
 
   /// Blocked {Cb, D, H, W, 16} -> plain {Cb * 16}, or plain
   /// {C, D, H, W} -> {C}. The output depends only on the channel count.
-  tensor::Shape plan(const tensor::Shape& input) override;
+  tensor::Shape plan(std::span<const tensor::Shape> inputs) override;
 
-  using Layer::backward;
-  using Layer::forward;
-
-  void forward(const tensor::Tensor& src, tensor::Tensor& dst,
-               LayerExecState& exec,
+  void forward(Inputs srcs, tensor::Tensor& dst, LayerExecState& exec,
                runtime::ThreadPool& pool) const override;
-  void backward(const tensor::Tensor& src, tensor::Tensor& ddst,
-                tensor::Tensor& dsrc, bool need_dsrc, LayerExecState& exec,
+  void backward(Inputs srcs, const tensor::Tensor& dst, tensor::Tensor& ddst,
+                InputGrads dsrcs, LayerExecState& exec,
                 runtime::ThreadPool& pool) const override;
 
   FlopCounts flops() const override;

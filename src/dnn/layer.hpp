@@ -12,14 +12,18 @@
 // weights, fusion flags — while everything a single execution stream
 // mutates (timers, forward staging workspace, backward scratch,
 // gradient tensors) lives in a LayerExecState that the caller passes
-// into every forward/backward. A dnn::ExecContext owns one
-// LayerExecState per layer; standalone drivers (unit tests, kernel
-// benches) use the convenience overloads below, which route through a
-// lazily created layer-owned state instead.
+// into every forward/backward. A planned layer holds no per-stream
+// state at all: a dnn::ExecContext owns one LayerExecState per layer,
+// and standalone drivers (unit tests, kernel benches) own theirs in a
+// dnn::StandaloneExec.
+//
+// Each pass has exactly one entry point, taking the node's inputs in
+// graph edge order (DESIGN.md §2.8): plan, forward, backward, plus
+// forward_bf16 as the one reduced-precision sibling. A single-input
+// layer receives one-element spans; a wrong count throws.
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -27,7 +31,6 @@
 #include <vector>
 
 #include "dnn/precision.hpp"
-#include "runtime/aligned_buffer.hpp"
 #include "runtime/thread_pool.hpp"
 #include "runtime/timer.hpp"
 #include "tensor/tensor.hpp"
@@ -88,10 +91,10 @@ struct LayerProfile {
 };
 
 /// Everything one execution stream mutates while driving one layer.
-/// Owned by a dnn::ExecContext (one per layer) or by the layer itself
-/// for standalone drives; the layer object never touches it except
-/// through the reference passed into forward/backward, so N streams
-/// can run the same layer concurrently.
+/// Owned by a dnn::ExecContext (one per layer) or by a StandaloneExec;
+/// the layer object never touches it except through the reference
+/// passed into forward/backward, so N streams can run the same layer
+/// concurrently.
 struct LayerExecState {
   LayerTimers timers;
 
@@ -120,6 +123,11 @@ struct LayerExecState {
   std::size_t intraop_grain = 1;
 };
 
+/// A node's input tensors in edge order, and the matching data-gradient
+/// targets for backward (null = not needed).
+using Inputs = std::span<const tensor::Tensor* const>;
+using InputGrads = std::span<tensor::Tensor* const>;
+
 class Layer {
  public:
   explicit Layer(std::string name)
@@ -139,61 +147,14 @@ class Layer {
   /// category key for the Fig 3 breakdown.
   virtual std::string kind() const = 0;
 
-  /// Validates `input` and computes the output shape; called once by
-  /// Network::finalize. Allocates parameters and records geometry.
-  virtual tensor::Shape plan(const tensor::Shape& input) = 0;
-
-  // --- Graph-IR hooks (DESIGN.md §2.8) --------------------------------
-  // A node in a dnn::Graph consumes arity() input tensors in a fixed
-  // edge order. Single-input layers get the multi-input entry points
-  // for free (they route to the plain overloads); multi-input layers
-  // (Add) override the *_multi set and leave the single-input ones
-  // throwing.
-
-  /// Number of input tensors this layer consumes (graph fan-in).
+  /// Number of input tensors this layer consumes (graph fan-in); every
+  /// pass gets exactly this many, in edge order.
   virtual std::size_t arity() const { return 1; }
 
-  /// plan() over all input shapes, in edge order.
-  virtual tensor::Shape plan_multi(std::span<const tensor::Shape> inputs) {
-    if (inputs.size() != 1) {
-      throw std::logic_error("Layer::plan_multi: " + name_ +
-                             " is single-input");
-    }
-    return plan(inputs[0]);
-  }
-
-  /// forward() over all inputs, in edge order.
-  virtual void forward_multi(std::span<const tensor::Tensor* const> srcs,
-                             tensor::Tensor& dst, LayerExecState& exec,
-                             runtime::ThreadPool& pool) const {
-    if (srcs.size() != 1) {
-      throw std::logic_error("Layer::forward_multi: " + name_ +
-                             " is single-input");
-    }
-    forward(*srcs[0], dst, exec, pool);
-  }
-
-  /// Backward over all input edges. `dsrcs[k]` receives d(loss)/d(input
-  /// k) when `need_dsrc[k]`; when `accumulate[k]` is additionally set
-  /// the edge's contribution must be *added* to dsrcs[k] (the producer
-  /// has other consumers whose contributions are already there) instead
-  /// of overwriting it. The execution context handles accumulation for
-  /// single-input layers itself, so they are only ever called with
-  /// accumulate[0] == false here.
-  virtual void backward_multi(std::span<const tensor::Tensor* const> srcs,
-                              const tensor::Tensor& dst,
-                              tensor::Tensor& ddst,
-                              std::span<tensor::Tensor* const> dsrcs,
-                              std::span<const std::uint8_t> need_dsrc,
-                              std::span<const std::uint8_t> accumulate,
-                              LayerExecState& exec,
-                              runtime::ThreadPool& pool) const {
-    if (srcs.size() != 1 || (need_dsrc[0] != 0 && accumulate[0] != 0)) {
-      throw std::logic_error("Layer::backward_multi: " + name_ +
-                             " is single-input");
-    }
-    backward(*srcs[0], dst, ddst, *dsrcs[0], need_dsrc[0] != 0, exec, pool);
-  }
+  /// Validates the input shapes and computes the output shape; called
+  /// once by Network::finalize. Allocates parameters and records
+  /// geometry.
+  virtual tensor::Shape plan(std::span<const tensor::Shape> inputs) = 0;
 
   /// Fresh, un-planned copy of this layer: same constructor arguments,
   /// same fusion state, no geometry and no weights — the raw material
@@ -212,63 +173,30 @@ class Layer {
   /// dst must have output_shape(). `exec` carries this stream's
   /// mutable state; the method is const on the layer so concurrent
   /// streams may share one layer object.
-  virtual void forward(const tensor::Tensor& src, tensor::Tensor& dst,
+  virtual void forward(Inputs srcs, tensor::Tensor& dst,
                        LayerExecState& exec,
                        runtime::ThreadPool& pool) const = 0;
 
   /// Computes parameter gradients (accumulated into `exec.grads` —
-  /// callers zero them per step) and, when `need_dsrc`, the input
-  /// difference signal. `src` is the forward input of this layer.
-  /// `ddst` is *consumed*: fused layers mask it with the activation
-  /// derivative in place (it is dead after this call — the network's
-  /// backward sweep never re-reads a layer's ddst, so no copy is owed).
-  virtual void backward(const tensor::Tensor& src, tensor::Tensor& ddst,
-                        tensor::Tensor& dsrc, bool need_dsrc,
+  /// callers zero them per step) and, for every non-null `dsrcs[k]`,
+  /// d(loss)/d(input k), which *overwrites* dsrcs[k]: merging the
+  /// contributions of several consumers is the execution context's job
+  /// (DESIGN.md §2.8). `srcs` are the forward inputs and `dst` this
+  /// layer's own forward output, from which layers with a fused eltwise
+  /// epilogue recover the activation-derivative mask. `ddst` is
+  /// *consumed*: fused layers mask it in place (it is dead after this
+  /// call — the backward sweep never re-reads a layer's ddst).
+  virtual void backward(Inputs srcs, const tensor::Tensor& dst,
+                        tensor::Tensor& ddst, InputGrads dsrcs,
                         LayerExecState& exec,
                         runtime::ThreadPool& pool) const = 0;
 
-  /// Backward variant that also receives this layer's own forward
-  /// output `dst`. The execution context calls this one: layers with a
-  /// fused eltwise epilogue recover the activation-derivative mask
-  /// from `dst`; everything else ignores it and falls through to the
-  /// plain overload.
-  virtual void backward(const tensor::Tensor& src,
-                        const tensor::Tensor& dst, tensor::Tensor& ddst,
-                        tensor::Tensor& dsrc, bool need_dsrc,
-                        LayerExecState& exec,
-                        runtime::ThreadPool& pool) const {
-    static_cast<void>(dst);
-    backward(src, ddst, dsrc, need_dsrc, exec, pool);
-  }
-
-  /// Convenience overloads for driving a layer outside an ExecContext
-  /// (unit tests, kernel benches): they route through a lazily created
-  /// layer-owned LayerExecState, so grads/timers accumulate on the
-  /// layer exactly as they did when the layer owned them directly.
-  void forward(const tensor::Tensor& src, tensor::Tensor& dst,
-               runtime::ThreadPool& pool) {
-    forward(src, dst, standalone_state(), pool);
-  }
-  void backward(const tensor::Tensor& src, tensor::Tensor& ddst,
-                tensor::Tensor& dsrc, bool need_dsrc,
-                runtime::ThreadPool& pool) {
-    backward(src, ddst, dsrc, need_dsrc, standalone_state(), pool);
-  }
-  void backward(const tensor::Tensor& src, const tensor::Tensor& dst,
-                tensor::Tensor& ddst, tensor::Tensor& dsrc, bool need_dsrc,
-                runtime::ThreadPool& pool) {
-    backward(src, dst, ddst, dsrc, need_dsrc, standalone_state(), pool);
-  }
-
   // --- Reduced-precision inference (DESIGN.md §2.5) -------------------
 
-  /// Which inference precisions this layer can execute. Every layer
-  /// trivially supports kInt8Weights — a layer without quantizable
-  /// weights just runs its fp32 forward (the mode only changes how
-  /// conv/dense weights are stored). kBf16 needs an explicit
-  /// forward_bf16 override, so the default declines it.
+  /// Which inference precisions this layer can execute. kBf16 needs an
+  /// explicit forward_bf16 override, so the default declines it.
   virtual bool supports_precision(Precision p) const {
-    return p == Precision::kFp32 || p == Precision::kInt8Weights;
+    return p == Precision::kFp32;
   }
 
   /// bf16 forward: `src`/`dst` are raw buffers holding bf16 images of
@@ -292,21 +220,6 @@ class Layer {
                            " has no bf16 forward path");
   }
 
-  /// Weights-only int8 forward: fp32 activations in and out, weights
-  /// read from the quantized segment with per-output-channel `scales`
-  /// (Network::int8_weight_segment / int8_scale_segment). The default
-  /// ignores the segments and falls through to the fp32 forward, so
-  /// parameterless layers run unchanged in kInt8Weights mode.
-  virtual void forward_int8w(const tensor::Tensor& src, tensor::Tensor& dst,
-                             std::span<const std::int8_t> qweights,
-                             std::span<const float> scales,
-                             LayerExecState& exec,
-                             runtime::ThreadPool& pool) const {
-    static_cast<void>(qweights);
-    static_cast<void>(scales);
-    forward(src, dst, exec, pool);
-  }
-
   /// Invoked by Network::prepare_inference_precision after the plain
   /// bf16 image of this layer's segment was built, with a mutable view
   /// of that slice. A layer whose bf16 kernel wants a different weight
@@ -316,21 +229,6 @@ class Layer {
   /// reader. Default keeps the plain image.
   virtual void pack_weights_bf16(std::span<bf16_t> segment) const {
     static_cast<void>(segment);
-  }
-
-  /// int8 packing hooks for Network::prepare_inference_precision.
-  /// Layers with quantizable weights report how many int8 elements and
-  /// per-channel scales they need; parameterless layers report zero
-  /// and are skipped.
-  virtual std::size_t int8_weight_count() const { return 0; }
-  virtual std::size_t int8_scale_count() const { return 0; }
-  /// Calibrates per-output-channel symmetric scales from the current
-  /// fp32 weight maxima and fills `qweights` (size int8_weight_count)
-  /// and `scales` (size int8_scale_count).
-  virtual void quantize_weights_int8(std::span<std::int8_t> qweights,
-                                     std::span<float> scales) const {
-    static_cast<void>(qweights);
-    static_cast<void>(scales);
   }
 
   /// Floats of forward staging workspace this stream must provide
@@ -354,23 +252,9 @@ class Layer {
   }
 
   /// Parameter tensors of the model (empty for parameterless layers).
-  /// Gradients are not part of the model — each ExecContext allocates
+  /// Gradients are not part of the model — each LayerExecState holds
   /// its own, parallel to this list.
   virtual std::vector<ParamSpec> param_specs() { return {}; }
-
-  /// Standalone-drive view pairing param_specs() with the layer-owned
-  /// state's gradient tensors (lazily created).
-  std::vector<ParamView> params() {
-    std::vector<ParamSpec> specs = param_specs();
-    std::vector<ParamView> views;
-    if (specs.empty()) return views;
-    LayerExecState& st = standalone_state();
-    views.reserve(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      views.push_back({specs[i].name, specs[i].value, &st.grads[i]});
-    }
-    return views;
-  }
 
   virtual FlopCounts flops() const { return {}; }
 
@@ -378,36 +262,6 @@ class Layer {
     std::int64_t n = 0;
     for (const auto& p : param_specs()) n += p.value->shape().numel();
     return n;
-  }
-
-  /// Timers of the standalone (layer-owned) state; per-context timers
-  /// live in the context's LayerExecState instead.
-  LayerTimers& timers() { return standalone_state().timers; }
-  void reset_timers() { standalone_state().timers = LayerTimers{}; }
-
-  /// The layer-owned LayerExecState backing the convenience overloads.
-  /// Created (or rebuilt) on first use after plan(): workspace and
-  /// grads are zero-initialized, scratch is sized to the layer's
-  /// request.
-  LayerExecState& standalone_state() {
-    const std::size_t ws = forward_workspace_floats();
-    const std::size_t sc = backward_scratch_floats();
-    std::vector<ParamSpec> specs = param_specs();
-    if (standalone_ && standalone_->matches(ws, sc, specs)) {
-      return standalone_->state;
-    }
-    auto st = std::make_unique<StandaloneExec>();
-    st->workspace = runtime::AlignedBuffer<float>(ws);
-    if (ws != 0) std::memset(st->workspace.data(), 0, ws * sizeof(float));
-    st->scratch = runtime::AlignedBuffer<float>(sc);
-    st->state.workspace = {st->workspace.data(), ws};
-    st->state.scratch = {st->scratch.data(), sc};
-    st->state.grads.reserve(specs.size());
-    for (const auto& spec : specs) {
-      st->state.grads.emplace_back(spec.value->shape());
-    }
-    standalone_ = std::move(st);
-    return standalone_->state;
   }
 
   // Precomputed CF_TRACE_SCOPE labels ("conv2/fwd", ...) so the span
@@ -425,25 +279,21 @@ class Layer {
     output_shape_ = out;
   }
 
- private:
-  struct StandaloneExec {
-    LayerExecState state;
-    runtime::AlignedBuffer<float> workspace;
-    runtime::AlignedBuffer<float> scratch;
-
-    // A state built before plan() (or before a re-plan) is stale;
-    // detect by comparing the sizes it was built for.
-    bool matches(std::size_t ws, std::size_t sc,
-                 const std::vector<ParamSpec>& specs) const {
-      if (workspace.size() != ws || scratch.size() != sc) return false;
-      if (state.grads.size() != specs.size()) return false;
-      for (std::size_t i = 0; i < specs.size(); ++i) {
-        if (state.grads[i].shape() != specs[i].value->shape()) return false;
-      }
-      return true;
+  /// Throws std::invalid_argument unless a pass got arity() inputs (and
+  /// as many gradient targets).
+  void check_inputs(std::size_t inputs) const {
+    if (inputs != arity()) {
+      throw std::invalid_argument(name_ + ": expected " +
+                                  std::to_string(arity()) + " input(s), got " +
+                                  std::to_string(inputs));
     }
-  };
+  }
+  void check_inputs(std::size_t inputs, std::size_t grads) const {
+    check_inputs(inputs);
+    check_inputs(grads);
+  }
 
+ private:
   std::string name_;
   std::string label_fwd_;
   std::string label_bwd_;
@@ -451,7 +301,6 @@ class Layer {
   std::string label_bwd_data_;
   tensor::Shape input_shape_;
   tensor::Shape output_shape_;
-  std::unique_ptr<StandaloneExec> standalone_;
 };
 
 }  // namespace cf::dnn

@@ -150,20 +150,6 @@ void Network::plan_memory() {
     diff_iv[i] = {i, start, n - 1 - i, sizes[i]};
   }
   diff_slots_ = color_slots(std::move(diff_iv), n);
-
-  // Fan-in accumulation buffer: a node whose diff receives more than
-  // one contribution (several consumers, or a consumed head) needs a
-  // place to compute the non-first contributions before the in-order
-  // add. One shared buffer sized to the largest such tensor suffices —
-  // contributions are strictly sequential within a backward sweep.
-  bwd_accum_floats_ = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t contributions =
-        graph_.consumers(i).size() + (graph_.is_head(i) ? 1 : 0);
-    if (contributions > 1) {
-      bwd_accum_floats_ = std::max(bwd_accum_floats_, sizes[i]);
-    }
-  }
 }
 
 void Network::finalize(const Shape& input_shape) {
@@ -189,7 +175,7 @@ void Network::finalize(const Shape& input_shape) {
     for (NodeId p : graph_.inputs(i)) {
       node_inputs.push_back(p == kGraphInput ? input_shape : shapes[p]);
     }
-    shapes[i] = graph_.layer(i).plan_multi(node_inputs);
+    shapes[i] = graph_.layer(i).plan(node_inputs);
   }
 
   // Output heads: a single head keeps its own shape; multiple heads
@@ -371,66 +357,28 @@ void Network::prepare_inference_precision(Precision precision) {
           " does not support " + std::string(to_string(precision)));
     }
   }
-  if (precision == Precision::kBf16) {
-    if (weights_shared_) {
-      throw std::logic_error(
-          "Network::prepare_inference_precision: a shape view has no "
-          "param arena to image — prepare bf16 on the parent");
-    }
-    // bf16 image of the whole arena; segment offsets carry over 1:1.
-    if (bf16_arena_.size() != param_arena_.size()) {
-      bf16_arena_ = runtime::AlignedBuffer<bf16_t>(param_arena_.size());
-    }
-    bf16_from_f32(param_arena_.data(), bf16_arena_.data(),
-                  param_arena_.size());
-    // Layers whose bf16 kernels read a different weight packing (the
-    // dense layers' vdpbf16ps pair-interleaved tiles; convs keep the
-    // plain image and widen on load) repack their slice in place.
-    for (std::size_t i = 0; i < graph_.size(); ++i) {
-      if (segment_sizes_[i] == 0) continue;
-      graph_.layer(i).pack_weights_bf16(
-          {bf16_arena_.data() + segment_offsets_[i], segment_sizes_[i]});
-    }
-    bf16_prepared_ = true;
-    obs::Registry::global().gauge("dnn/precision/bf16_weight_bytes").set(
-        static_cast<double>(bf16_arena_.size() * sizeof(bf16_t)));
-    return;
+  if (weights_shared_) {
+    throw std::logic_error(
+        "Network::prepare_inference_precision: a shape view has no "
+        "param arena to image — prepare bf16 on the parent");
   }
-  // kInt8Weights: per-layer quant + scale tables (per-view on shape
-  // views — quantization reads the aliased weight tensors, not the
-  // arena).
-  const std::size_t n = graph_.size();
-  int8_weight_offsets_.assign(n, 0);
-  int8_weight_sizes_.assign(n, 0);
-  int8_scale_offsets_.assign(n, 0);
-  int8_scale_sizes_.assign(n, 0);
-  std::size_t wtotal = 0, stotal = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    int8_weight_offsets_[i] = wtotal;
-    int8_weight_sizes_[i] = graph_.layer(i).int8_weight_count();
-    wtotal += int8_weight_sizes_[i];
-    int8_scale_offsets_[i] = stotal;
-    int8_scale_sizes_[i] = graph_.layer(i).int8_scale_count();
-    stotal += int8_scale_sizes_[i];
+  // bf16 image of the whole arena; segment offsets carry over 1:1.
+  if (bf16_arena_.size() != param_arena_.size()) {
+    bf16_arena_ = runtime::AlignedBuffer<bf16_t>(param_arena_.size());
   }
-  if (int8_arena_.size() != wtotal) {
-    int8_arena_ = runtime::AlignedBuffer<std::int8_t>(wtotal);
+  bf16_from_f32(param_arena_.data(), bf16_arena_.data(),
+                param_arena_.size());
+  // Layers whose bf16 kernels read a different weight packing (the
+  // dense layers' vdpbf16ps pair-interleaved tiles; convs keep the
+  // plain image and widen on load) repack their slice in place.
+  for (std::size_t i = 0; i < graph_.size(); ++i) {
+    if (segment_sizes_[i] == 0) continue;
+    graph_.layer(i).pack_weights_bf16(
+        {bf16_arena_.data() + segment_offsets_[i], segment_sizes_[i]});
   }
-  if (int8_scales_.size() != stotal) {
-    int8_scales_ = runtime::AlignedBuffer<float>(stotal);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (int8_weight_sizes_[i] == 0) continue;
-    graph_.layer(i).quantize_weights_int8(
-        {int8_arena_.data() + int8_weight_offsets_[i],
-         int8_weight_sizes_[i]},
-        {int8_scales_.data() + int8_scale_offsets_[i],
-         int8_scale_sizes_[i]});
-  }
-  int8_prepared_ = true;
-  obs::Registry::global().gauge("dnn/precision/int8_weight_bytes").set(
-      static_cast<double>(int8_arena_.size() * sizeof(std::int8_t) +
-                          int8_scales_.size() * sizeof(float)));
+  bf16_prepared_ = true;
+  obs::Registry::global().gauge("dnn/precision/bf16_weight_bytes").set(
+      static_cast<double>(bf16_arena_.size() * sizeof(bf16_t)));
 }
 
 std::size_t Network::activation_bytes() const noexcept {

@@ -136,7 +136,7 @@ class Network {
   /// — zero weight copies, so reloading/retraining the parent is
   /// immediately visible through every view. Views are inference-only
   /// (kTraining contexts, param_arena(), copy/set_params and the bf16
-  /// arena throw on a view; int8w works — its tables are per-view).
+  /// arena throw on a view).
   /// Requires every layer to be clone-able (clone_unplanned) and every
   /// parameter shape to be input-size-invariant — a fixed-feature dense
   /// head behind Flatten throws here; GlobalAvgPool heads qualify. The
@@ -183,10 +183,9 @@ class Network {
 
   // --- Reduced-precision inference arenas (DESIGN.md §2.5) ------------
 
-  /// Packs the side arenas for `precision` from the *current* fp32
-  /// weights: a bf16 image of the whole param arena (same segment
-  /// offsets) for kBf16, or per-layer int8 quants + per-output-channel
-  /// scales for kInt8Weights. The fp32 arena is never modified. Must
+  /// Packs the side arena for `precision` from the *current* fp32
+  /// weights: for kBf16, a bf16 image of the whole param arena (same
+  /// segment offsets). The fp32 arena is never modified. Must
   /// run after finalize() and after the weights hold their real values
   /// (init or checkpoint load — plan-time contents are zeros);
   /// re-callable to re-pack after a weight reload. kFp32 is a no-op.
@@ -194,34 +193,16 @@ class Network {
   void prepare_inference_precision(Precision precision);
 
   /// Whether contexts in `precision` can be created right now. kFp32 is
-  /// always ready; bf16/int8w require a prepare_inference_precision
-  /// call since the last finalize.
+  /// always ready; bf16 requires a prepare_inference_precision call
+  /// since the last finalize.
   bool precision_prepared(Precision precision) const noexcept {
-    switch (precision) {
-      case Precision::kBf16:
-        return bf16_prepared_;
-      case Precision::kInt8Weights:
-        return int8_prepared_;
-      case Precision::kFp32:
-      default:
-        return true;
-    }
+    return precision == Precision::kFp32 || bf16_prepared_;
   }
 
   /// Layer i's slice of the bf16 param-arena image (same offsets as
   /// param_segment; empty for parameterless layers).
   std::span<const bf16_t> bf16_param_segment(std::size_t i) const {
     return {bf16_arena_.data() + segment_offsets_[i], segment_sizes_[i]};
-  }
-  /// Layer i's int8 weight quants / per-output-channel scales (empty
-  /// for layers without quantizable weights).
-  std::span<const std::int8_t> int8_weight_segment(std::size_t i) const {
-    return {int8_arena_.data() + int8_weight_offsets_[i],
-            int8_weight_sizes_[i]};
-  }
-  std::span<const float> int8_scale_segment(std::size_t i) const {
-    return {int8_scales_.data() + int8_scale_offsets_[i],
-            int8_scale_sizes_[i]};
   }
 
   /// Total per-sample flops; `skip_first_bwd_data` drops the unneeded
@@ -275,12 +256,6 @@ class Network {
   /// Reverse-pass diff slots (training contexts, when planning is on).
   const SlotPlan& diff_slots() const noexcept { return diff_slots_; }
 
-  /// Floats of the largest tensor that can receive more than one
-  /// gradient contribution (fan-out nodes / consumed heads) — the size
-  /// of the training context's shared accumulation buffer. Zero for
-  /// purely sequential networks.
-  std::size_t bwd_accum_floats() const noexcept { return bwd_accum_floats_; }
-
  private:
   void build_arena();
   void plan_memory();
@@ -293,22 +268,13 @@ class Network {
   std::size_t param_total_ = 0;               // floats, set by finalize
   std::vector<std::size_t> segment_offsets_;  // per layer, in floats
   std::vector<std::size_t> segment_sizes_;
-  // Reduced-precision side arenas (prepare_inference_precision). The
-  // bf16 arena mirrors param_arena_ element-for-element; the int8
-  // arena/scales use their own per-layer offset tables.
+  // bf16 side arena (prepare_inference_precision), mirroring
+  // param_arena_ element-for-element.
   runtime::AlignedBuffer<bf16_t> bf16_arena_;
-  runtime::AlignedBuffer<std::int8_t> int8_arena_;
-  runtime::AlignedBuffer<float> int8_scales_;
-  std::vector<std::size_t> int8_weight_offsets_;
-  std::vector<std::size_t> int8_weight_sizes_;
-  std::vector<std::size_t> int8_scale_offsets_;
-  std::vector<std::size_t> int8_scale_sizes_;
   bool bf16_prepared_ = false;
-  bool int8_prepared_ = false;
   MemPlan mem_plan_;
   SlotPlan act_slots_;
   SlotPlan diff_slots_;
-  std::size_t bwd_accum_floats_ = 0;
   std::vector<std::size_t> head_offsets_;
   tensor::Shape input_shape_;
   tensor::Shape output_shape_;

@@ -2,18 +2,12 @@
 //
 // fp32 is the reference numeric format: training, checkpoints and the
 // bitwise-determinism contract all live there and nothing in this
-// module changes a single fp32 bit. On top of it sit two inference-only
-// fast paths, both tolerance-gated (tests/precision_test.cpp):
-//
-//  * kBf16 — bf16 storage for weights *and* activations with fp32
-//    accumulation in every kernel. A 16-wide nCdhw16c channel block is
-//    exactly one 256-bit bf16 load widened to a __m512
-//    (vpmovzxwd + vpslld), so halving the bytes moved needs no layout
-//    change — the memory-bound win ROADMAP item 2 asks for.
-//  * kInt8Weights — weights-only int8 with per-output-channel symmetric
-//    scales calibrated from the weight maxima at prepare time;
-//    activations and accumulation stay fp32. Quarter-size weight
-//    streams, unchanged activation traffic.
+// module changes a single fp32 bit. On top of it sits one inference-only
+// fast path, tolerance-gated (tests/precision_test.cpp): kBf16, bf16
+// storage for weights *and* activations with fp32 accumulation in every
+// kernel. A 16-wide nCdhw16c channel block is exactly one 256-bit bf16
+// load widened to a __m512 (vpmovzxwd + vpslld), so halving the bytes
+// moved needs no layout change.
 //
 // Conversions are defined here once, with bit-identical scalar and
 // AVX-512 forms: fp32 -> bf16 uses round-to-nearest-even via the
@@ -22,7 +16,6 @@
 // context produces the same bits with or without the intrinsics.
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -38,28 +31,19 @@ namespace cf::dnn {
 
 /// Inference numeric mode of an ExecContext. kFp32 is the default and
 /// the only mode training contexts accept.
-enum class Precision { kFp32 = 0, kBf16 = 1, kInt8Weights = 2 };
+enum class Precision { kFp32 = 0, kBf16 = 1 };
 
 constexpr std::string_view to_string(Precision p) noexcept {
-  switch (p) {
-    case Precision::kBf16:
-      return "bf16";
-    case Precision::kInt8Weights:
-      return "int8w";
-    case Precision::kFp32:
-    default:
-      return "fp32";
-  }
+  return p == Precision::kBf16 ? "bf16" : "fp32";
 }
 
-/// Parses the CLI spelling ("fp32" | "bf16" | "int8w"); throws
+/// Parses the CLI spelling ("fp32" | "bf16"); throws
 /// std::invalid_argument on anything else.
 inline Precision precision_from_string(std::string_view s) {
   if (s == "fp32") return Precision::kFp32;
   if (s == "bf16") return Precision::kBf16;
-  if (s == "int8w") return Precision::kInt8Weights;
   throw std::invalid_argument("unknown precision \"" + std::string(s) +
-                              "\" (expected fp32 | bf16 | int8w)");
+                              "\" (expected fp32 | bf16)");
 }
 
 /// Storage type for brain-float16 values: the top 16 bits of an IEEE
@@ -102,28 +86,8 @@ inline float bf16_to_float(bf16_t h) noexcept {
 void bf16_from_f32(const float* src, bf16_t* dst, std::size_t n) noexcept;
 void f32_from_bf16(const bf16_t* src, float* dst, std::size_t n) noexcept;
 
-// --- int8 weight quantization -----------------------------------------
-
-/// Per-output-channel symmetric scale from the channel's weight
-/// maximum: dequant(q) = q * scale, q in [-127, 127]. A zero-max (dead)
-/// channel gets scale 0 and all-zero quants — dequantization stays
-/// exact instead of dividing by zero.
-inline float int8_scale_from_max(float max_abs) noexcept {
-  return max_abs > 0.0f ? max_abs / 127.0f : 0.0f;
-}
-
-/// Quantizes one value given inv_scale = 127 / max_abs (0 for a dead
-/// channel). Round-half-away-from-zero, clamped to ±127 (the symmetric
-/// grid; -128 is never produced).
-inline std::int8_t quantize_int8(float v, float inv_scale) noexcept {
-  const float scaled = v * inv_scale;
-  const long q = std::lround(scaled);
-  const long clamped = q < -127 ? -127 : (q > 127 ? 127 : q);
-  return static_cast<std::int8_t>(clamped);
-}
-
 // --- AVX-512 lane helpers ---------------------------------------------
-// Shared by the bf16/int8 micro-kernels in dnn/forward_rp.cpp.
+// Shared by the bf16 micro-kernels in dnn/forward_rp.cpp.
 
 #if defined(__AVX512F__)
 
@@ -165,15 +129,6 @@ inline void bf16_store_16(bf16_t* p, __m512 v) noexcept {
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(p),
                       _mm512_cvtepi32_epi16(rounded));
 #endif  // __AVX512BF16__
-}
-
-/// 16 int8 weight lanes dequantized against a 16-lane scale vector.
-inline __m512 int8_dequant_16(const std::int8_t* p,
-                              __m512 scale16) noexcept {
-  const __m128i raw =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  return _mm512_mul_ps(_mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(raw)),
-                       scale16);
 }
 
 #endif  // __AVX512F__

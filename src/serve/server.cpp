@@ -127,7 +127,7 @@ void Server::worker_loop(std::size_t worker_index) {
       const runtime::Stopwatch compute_watch;
       {
         CF_TRACE_SCOPE("serve/infer", "serve");
-        // fp32/int8w inference forward reads request.input in place
+        // fp32 inference forward reads request.input in place
         // (no staging copy — DESIGN.md §2.7); the request owns its
         // tensor for the whole call, so the aliasing contract holds.
         result.output = ctx.forward(request.input, pool).to_vector();

@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "dnn/conv3d.hpp"
+#include "dnn/standalone_exec.hpp"
 #include "runtime/rng.hpp"
 #include "runtime/thread_pool.hpp"
 #include "tensor/layout.hpp"
@@ -50,8 +51,9 @@ class BlockedConvVsReference : public ::testing::TestWithParam<ConvCase> {
     const Shape in_shape = conv_->input_is_plain()
                                ? plain_src_.shape()
                                : Shape{c.ic / 16, c.dhw, c.dhw, c.dhw, 16};
-    conv_->plan(in_shape);
+    plan_single(*conv_, in_shape);
     conv_->set_plain_weights(plain_weights_, bias_);
+    exec_ = std::make_unique<StandaloneExec>(*conv_);
 
     pd_ = resolve_pad(c.padding, c.dhw, c.kernel, c.stride);
     const std::int64_t out =
@@ -71,6 +73,7 @@ class BlockedConvVsReference : public ::testing::TestWithParam<ConvCase> {
 
   Conv3dConfig config_;
   std::unique_ptr<Conv3d> conv_;
+  std::unique_ptr<StandaloneExec> exec_;
   Tensor plain_src_, plain_weights_, bias_;
   Tensor src_, dst_, ref_dst_;
   PadSpec pd_;
@@ -78,7 +81,7 @@ class BlockedConvVsReference : public ::testing::TestWithParam<ConvCase> {
 };
 
 TEST_P(BlockedConvVsReference, ForwardMatches) {
-  conv_->forward(src_, dst_, pool_);
+  exec_->forward(src_, dst_, pool_);
   const Tensor plain_out = blocked_output_as_plain();
   EXPECT_TRUE(tensor::allclose(plain_out.values(), ref_dst_.values(), 1e-4f,
                                1e-4f))
@@ -88,7 +91,7 @@ TEST_P(BlockedConvVsReference, ForwardMatches) {
 
 TEST_P(BlockedConvVsReference, BackwardWeightsMatches) {
   const ConvCase& c = GetParam();
-  conv_->forward(src_, dst_, pool_);
+  exec_->forward(src_, dst_, pool_);
 
   runtime::Rng rng(7);
   Tensor plain_ddst(ref_dst_.shape());
@@ -100,20 +103,19 @@ TEST_P(BlockedConvVsReference, BackwardWeightsMatches) {
                                     pd_, pd_, ref_dw, ref_db);
 
   Tensor ddst = tensor::to_blocked_activation(plain_ddst);
-  Tensor dsrc(conv_->input_shape());
-  conv_->backward(src_, ddst, dsrc, /*need_dsrc=*/false, pool_);
+  exec_->backward(src_, dst_, ddst, /*dsrc=*/nullptr, pool_);
 
-  const Tensor dw = conv_->plain_weight_grads();
+  const Tensor dw = conv_->to_plain_weights(exec_->state.grads[0]);
   EXPECT_TRUE(tensor::allclose(dw.values(), ref_dw.values(), 1e-3f, 1e-3f))
       << "max dw diff "
       << tensor::max_abs_diff(dw.values(), ref_dw.values());
-  EXPECT_TRUE(tensor::allclose(conv_->bias_grad().values(), ref_db.values(),
-                               1e-3f, 1e-3f));
+  EXPECT_TRUE(tensor::allclose(exec_->state.grads[1].values(),
+                               ref_db.values(), 1e-3f, 1e-3f));
 }
 
 TEST_P(BlockedConvVsReference, BackwardDataMatches) {
   const ConvCase& c = GetParam();
-  conv_->forward(src_, dst_, pool_);
+  exec_->forward(src_, dst_, pool_);
 
   runtime::Rng rng(8);
   Tensor plain_ddst(ref_dst_.shape());
@@ -125,7 +127,7 @@ TEST_P(BlockedConvVsReference, BackwardDataMatches) {
 
   Tensor ddst = tensor::to_blocked_activation(plain_ddst);
   Tensor dsrc(conv_->input_shape());
-  conv_->backward(src_, ddst, dsrc, /*need_dsrc=*/true, pool_);
+  exec_->backward(src_, dst_, ddst, &dsrc, pool_);
 
   const Tensor plain_dsrc =
       conv_->input_is_plain()
@@ -137,26 +139,30 @@ TEST_P(BlockedConvVsReference, BackwardDataMatches) {
       << tensor::max_abs_diff(plain_dsrc.values(), ref_dsrc.values());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, BlockedConvVsReference,
-    ::testing::Values(
-        // Blocked-source cases (IC multiple of 16).
-        ConvCase{16, 16, 6, 3, 1, Padding::kSame},
-        ConvCase{16, 16, 6, 3, 1, Padding::kValid},
-        ConvCase{16, 32, 8, 3, 2, Padding::kSame},
-        ConvCase{32, 16, 5, 3, 1, Padding::kSame},
-        ConvCase{16, 16, 8, 4, 1, Padding::kSame},   // even kernel, asym pad
-        ConvCase{16, 16, 9, 4, 2, Padding::kValid},
-        ConvCase{32, 32, 6, 2, 2, Padding::kValid},
-        ConvCase{16, 48, 6, 3, 1, Padding::kSame},
-        ConvCase{16, 16, 7, 5, 1, Padding::kSame},   // k > stride coverage
-        ConvCase{16, 16, 6, 3, 3, Padding::kValid},  // stride == kernel
-        // Plain-source cases (first layer, IC < 16).
-        ConvCase{1, 16, 8, 3, 1, Padding::kSame},
-        ConvCase{1, 32, 8, 3, 1, Padding::kValid},
-        ConvCase{2, 16, 6, 4, 2, Padding::kSame},
-        ConvCase{4, 16, 6, 2, 1, Padding::kValid}),
-    case_name);
+// A static array, so each case's 4 padding bytes are zero: gtest prints
+// the raw bytes of the parameter into the ctest name, and temporaries
+// would leak stack or heap bytes there, renaming the tests per build.
+constexpr ConvCase kConvCases[] = {
+    // Blocked-source cases (IC multiple of 16).
+    {16, 16, 6, 3, 1, Padding::kSame},
+    {16, 16, 6, 3, 1, Padding::kValid},
+    {16, 32, 8, 3, 2, Padding::kSame},
+    {32, 16, 5, 3, 1, Padding::kSame},
+    {16, 16, 8, 4, 1, Padding::kSame},   // even kernel, asym pad
+    {16, 16, 9, 4, 2, Padding::kValid},
+    {32, 32, 6, 2, 2, Padding::kValid},
+    {16, 48, 6, 3, 1, Padding::kSame},
+    {16, 16, 7, 5, 1, Padding::kSame},   // k > stride coverage
+    {16, 16, 6, 3, 3, Padding::kValid},  // stride == kernel
+    // Plain-source cases (first layer, IC < 16).
+    {1, 16, 8, 3, 1, Padding::kSame},
+    {1, 32, 8, 3, 1, Padding::kValid},
+    {2, 16, 6, 4, 2, Padding::kSame},
+    {4, 16, 6, 2, 1, Padding::kValid},
+};
+
+INSTANTIATE_TEST_SUITE_P(Sweep, BlockedConvVsReference,
+                         ::testing::ValuesIn(kConvCases), case_name);
 
 TEST(Conv3d, RejectsBadConfigs) {
   EXPECT_THROW(Conv3d("c", Conv3dConfig{16, 20, 3, 1, Padding::kSame}),
@@ -171,24 +177,26 @@ TEST(Conv3d, RejectsBadConfigs) {
 
 TEST(Conv3d, PlanRejectsMismatchedInput) {
   Conv3d conv("c", Conv3dConfig{16, 16, 3, 1, Padding::kSame});
-  EXPECT_THROW(conv.plan(Shape{16, 6, 6, 6}), std::invalid_argument);
-  EXPECT_THROW(conv.plan(Shape{2, 6, 6, 6, 16}), std::invalid_argument);
+  EXPECT_THROW(plan_single(conv, Shape{16, 6, 6, 6}), std::invalid_argument);
+  EXPECT_THROW(plan_single(conv, Shape{2, 6, 6, 6, 16}),
+               std::invalid_argument);
   Conv3d first("c", Conv3dConfig{1, 16, 3, 1, Padding::kSame});
-  EXPECT_THROW(first.plan(Shape{2, 6, 6, 6}), std::invalid_argument);
+  EXPECT_THROW(plan_single(first, Shape{2, 6, 6, 6}), std::invalid_argument);
 }
 
 TEST(Conv3d, ForwardValidatesShapes) {
   Conv3d conv("c", Conv3dConfig{16, 16, 3, 1, Padding::kSame});
-  conv.plan(Shape{1, 4, 4, 4, 16});
+  plan_single(conv, Shape{1, 4, 4, 4, 16});
+  StandaloneExec exec(conv);
   runtime::ThreadPool pool(1);
   Tensor bad_src(Shape{1, 5, 4, 4, 16});
   Tensor dst(conv.output_shape());
-  EXPECT_THROW(conv.forward(bad_src, dst, pool), std::invalid_argument);
+  EXPECT_THROW(exec.forward(bad_src, dst, pool), std::invalid_argument);
 }
 
 TEST(Conv3d, FlopCountMatchesFormula) {
   Conv3d conv("c", Conv3dConfig{16, 32, 3, 1, Padding::kSame});
-  conv.plan(Shape{1, 8, 8, 8, 16});
+  plan_single(conv, Shape{1, 8, 8, 8, 16});
   const FlopCounts f = conv.flops();
   // 2 * 8^3 * 32 * 16 * 27
   EXPECT_EQ(f.fwd, 2LL * 512 * 32 * 16 * 27);
@@ -198,15 +206,16 @@ TEST(Conv3d, FlopCountMatchesFormula) {
 
 TEST(Conv3d, ParamCountIncludesBias) {
   Conv3d conv("c", Conv3dConfig{16, 32, 3, 1, Padding::kSame});
-  conv.plan(Shape{1, 8, 8, 8, 16});
+  plan_single(conv, Shape{1, 8, 8, 8, 16});
   EXPECT_EQ(conv.param_count(), 32 * 16 * 27 + 32);
 }
 
 TEST(Conv3d, GradsAccumulateAcrossBackwardCalls) {
   Conv3d conv("c", Conv3dConfig{16, 16, 3, 1, Padding::kSame});
-  conv.plan(Shape{1, 4, 4, 4, 16});
+  plan_single(conv, Shape{1, 4, 4, 4, 16});
   runtime::Rng rng(3);
   conv.init_he(rng);
+  StandaloneExec exec(conv);
   runtime::ThreadPool pool(2);
 
   Tensor src(conv.input_shape());
@@ -214,13 +223,12 @@ TEST(Conv3d, GradsAccumulateAcrossBackwardCalls) {
   Tensor dst(conv.output_shape());
   Tensor ddst(conv.output_shape());
   tensor::fill_normal(ddst, rng, 0.0f, 1.0f);
-  Tensor dsrc(conv.input_shape());
 
-  conv.forward(src, dst, pool);
-  conv.backward(src, ddst, dsrc, false, pool);
-  const Tensor once = conv.plain_weight_grads();
-  conv.backward(src, ddst, dsrc, false, pool);
-  const Tensor twice = conv.plain_weight_grads();
+  exec.forward(src, dst, pool);
+  exec.backward(src, dst, ddst, nullptr, pool);
+  const Tensor once = conv.to_plain_weights(exec.state.grads[0]);
+  exec.backward(src, dst, ddst, nullptr, pool);
+  const Tensor twice = conv.to_plain_weights(exec.state.grads[0]);
 
   Tensor doubled = once.clone();
   tensor::scale(doubled.values(), 2.0f);
@@ -233,7 +241,8 @@ TEST(Conv3d, GradsAccumulateAcrossBackwardCalls) {
 TEST(Conv3dGradCheck, WeightsAndBiasAndData) {
   const Conv3dConfig config{16, 16, 3, 2, Padding::kSame};
   Conv3d conv("c", config);
-  conv.plan(Shape{1, 5, 5, 5, 16});
+  plan_single(conv, Shape{1, 5, 5, 5, 16});
+  StandaloneExec exec(conv);
   runtime::ThreadPool pool(2);
   runtime::Rng rng(11);
 
@@ -250,15 +259,15 @@ TEST(Conv3dGradCheck, WeightsAndBiasAndData) {
 
   Tensor dst(conv.output_shape());
   const auto loss = [&] {
-    conv.forward(src, dst, pool);
+    exec.forward(src, dst, pool);
     return tensor::dot(dst.values(), direction.values());
   };
 
   loss();
   Tensor dsrc(conv.input_shape());
-  conv.backward(src, direction, dsrc, true, pool);
-  const Tensor analytic_dw = conv.plain_weight_grads();
-  const Tensor analytic_db = conv.bias_grad().clone();
+  exec.backward(src, dst, direction, &dsrc, pool);
+  const Tensor analytic_dw = conv.to_plain_weights(exec.state.grads[0]);
+  const Tensor analytic_db = exec.state.grads[1].clone();
   const Tensor analytic_dsrc = dsrc.clone();
 
   const float eps = 1e-2f;

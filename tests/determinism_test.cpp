@@ -11,6 +11,7 @@
 #include "core/topology.hpp"
 #include "core/trainer.hpp"
 #include "dnn/conv3d.hpp"
+#include "dnn/standalone_exec.hpp"
 #include "runtime/rng.hpp"
 #include "tensor/layout.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -29,20 +30,21 @@ TEST_P(ConvThreadInvariance, ForwardAndBackwardBitIdentical) {
 
   const auto run = [&](int nthreads) {
     dnn::Conv3d conv("conv", config);
-    conv.plan(Shape{1, 6, 6, 6, 16});
+    dnn::plan_single(conv, Shape{1, 6, 6, 6, 16});
     runtime::Rng rng(3);
     conv.init_he(rng);
+    dnn::StandaloneExec exec(conv);
     runtime::ThreadPool pool(static_cast<std::size_t>(nthreads));
     Tensor src(conv.input_shape());
     tensor::fill_normal(src, rng, 0.0f, 1.0f);
     Tensor dst(conv.output_shape());
-    conv.forward(src, dst, pool);
+    exec.forward(src, dst, pool);
     Tensor ddst(conv.output_shape());
     tensor::fill_normal(ddst, rng, 0.0f, 1.0f);
     Tensor dsrc(conv.input_shape());
-    conv.backward(src, ddst, dsrc, true, pool);
+    exec.backward(src, dst, ddst, &dsrc, pool);
     std::vector<float> all = dst.to_vector();
-    const auto dw = conv.plain_weight_grads().to_vector();
+    const auto dw = conv.to_plain_weights(exec.state.grads[0]).to_vector();
     all.insert(all.end(), dw.begin(), dw.end());
     const auto ds = dsrc.to_vector();
     all.insert(all.end(), ds.begin(), ds.end());

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <stdexcept>
 #include <vector>
 
 #include "core/dataset_gen.hpp"
@@ -18,6 +17,7 @@
 #include "dnn/conv3d.hpp"
 #include "dnn/dense.hpp"
 #include "dnn/network.hpp"
+#include "dnn/standalone_exec.hpp"
 #include "runtime/rng.hpp"
 #include "runtime/thread_pool.hpp"
 #include "tensor/layout.hpp"
@@ -63,13 +63,16 @@ TEST_P(FusedConvVsUnfused, ForwardAndBackwardBitIdentical) {
   const Shape in_shape = plain.input_is_plain()
                              ? plain_src.shape()
                              : Shape{c.ic / 16, c.dhw, c.dhw, c.dhw, 16};
-  plain.plan(in_shape);
-  fused.plan(in_shape);
+  dnn::plan_single(plain, in_shape);
+  dnn::plan_single(fused, in_shape);
   plain.set_plain_weights(weights, bias);
   fused.set_plain_weights(weights, bias);
 
   dnn::LeakyRelu act("act", kSlope);
-  act.plan(plain.output_shape());
+  dnn::plan_single(act, plain.output_shape());
+  dnn::StandaloneExec plain_exec(plain);
+  dnn::StandaloneExec fused_exec(fused);
+  dnn::StandaloneExec act_exec(act);
 
   runtime::ThreadPool pool(3);
   const Tensor src = plain.input_is_plain()
@@ -79,9 +82,9 @@ TEST_P(FusedConvVsUnfused, ForwardAndBackwardBitIdentical) {
   Tensor conv_out(plain.output_shape());
   Tensor act_out(plain.output_shape());
   Tensor fused_out(fused.output_shape());
-  plain.forward(src, conv_out, pool);
-  act.forward(conv_out, act_out, pool);
-  fused.forward(src, fused_out, pool);
+  plain_exec.forward(src, conv_out, pool);
+  act_exec.forward(conv_out, act_out, pool);
+  fused_exec.forward(src, fused_out, pool);
   EXPECT_EQ(tensor::max_abs_diff(fused_out.values(), act_out.values()),
             0.0f);
 
@@ -90,29 +93,23 @@ TEST_P(FusedConvVsUnfused, ForwardAndBackwardBitIdentical) {
 
   // Unfused chain: activation backward, then the conv backward.
   Tensor dact(plain.output_shape());
-  act.backward(conv_out, ddst, dact, /*need_dsrc=*/true, pool);
+  act_exec.backward(conv_out, act_out, ddst, &dact, pool);
   Tensor dsrc_plain(plain.input_shape());
-  plain.backward(src, dact, dsrc_plain, /*need_dsrc=*/true, pool);
+  plain_exec.backward(src, conv_out, dact, &dsrc_plain, pool);
 
   // Fused: one call, the mask recovered from the forward output.
   Tensor dsrc_fused(fused.input_shape());
-  fused.backward(src, fused_out, ddst, dsrc_fused, /*need_dsrc=*/true,
-                 pool);
+  fused_exec.backward(src, fused_out, ddst, &dsrc_fused, pool);
 
   EXPECT_EQ(tensor::max_abs_diff(dsrc_fused.values(), dsrc_plain.values()),
             0.0f);
-  const Tensor dw_plain = plain.plain_weight_grads();
-  const Tensor dw_fused = fused.plain_weight_grads();
+  const Tensor dw_plain = plain.to_plain_weights(plain_exec.state.grads[0]);
+  const Tensor dw_fused = fused.to_plain_weights(fused_exec.state.grads[0]);
   EXPECT_EQ(tensor::max_abs_diff(dw_fused.values(), dw_plain.values()),
             0.0f);
-  EXPECT_EQ(tensor::max_abs_diff(fused.bias_grad().values(),
-                                 plain.bias_grad().values()),
+  EXPECT_EQ(tensor::max_abs_diff(fused_exec.state.grads[1].values(),
+                                 plain_exec.state.grads[1].values()),
             0.0f);
-
-  // A fused layer cannot run the dst-less backward overload.
-  Tensor dsrc(fused.input_shape());
-  EXPECT_THROW(fused.backward(src, ddst, dsrc, true, pool),
-               std::logic_error);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -135,47 +132,48 @@ TEST(FusedDenseVsUnfused, ForwardAndBackwardBitIdentical) {
     dnn::Dense plain("fc", in, out);
     dnn::Dense fused("fc", in, out);
     ASSERT_TRUE(fused.fuse_leaky_relu(kSlope));
-    plain.plan(Shape{in});
-    fused.plan(Shape{in});
+    dnn::plan_single(plain, Shape{in});
+    dnn::plan_single(fused, Shape{in});
     runtime::Rng rng(7, static_cast<std::uint64_t>(in));
     plain.init_xavier(rng);
     fused.weights() = plain.weights().clone();
     fused.bias() = plain.bias().clone();
+    dnn::StandaloneExec plain_exec(plain);
+    dnn::StandaloneExec fused_exec(fused);
 
     runtime::ThreadPool pool(3);
     Tensor src(Shape{in});
     tensor::fill_normal(src, rng, 0.0f, 1.0f);
 
     dnn::LeakyRelu act("act", kSlope);
-    act.plan(Shape{out});
+    dnn::plan_single(act, Shape{out});
+    dnn::StandaloneExec act_exec(act);
     Tensor fc_out{Shape{out}}, act_out{Shape{out}}, fused_out{Shape{out}};
-    plain.forward(src, fc_out, pool);
-    act.forward(fc_out, act_out, pool);
-    fused.forward(src, fused_out, pool);
+    plain_exec.forward(src, fc_out, pool);
+    act_exec.forward(fc_out, act_out, pool);
+    fused_exec.forward(src, fused_out, pool);
     EXPECT_EQ(tensor::max_abs_diff(fused_out.values(), act_out.values()),
               0.0f);
 
     Tensor ddst(Shape{out});
     tensor::fill_normal(ddst, rng, 0.0f, 1.0f);
     Tensor dact{Shape{out}}, dsrc_plain{Shape{in}}, dsrc_fused{Shape{in}};
-    act.backward(fc_out, ddst, dact, true, pool);
-    plain.backward(src, dact, dsrc_plain, true, pool);
-    fused.backward(src, fused_out, ddst, dsrc_fused, true, pool);
+    act_exec.backward(fc_out, act_out, ddst, &dact, pool);
+    plain_exec.backward(src, fc_out, dact, &dsrc_plain, pool);
+    fused_exec.backward(src, fused_out, ddst, &dsrc_fused, pool);
 
     EXPECT_EQ(
         tensor::max_abs_diff(dsrc_fused.values(), dsrc_plain.values()),
         0.0f);
-    auto plain_params = plain.params();
-    auto fused_params = fused.params();
-    ASSERT_EQ(plain_params.size(), fused_params.size());
-    for (std::size_t p = 0; p < plain_params.size(); ++p) {
-      EXPECT_EQ(tensor::max_abs_diff(fused_params[p].grad->values(),
-                                     plain_params[p].grad->values()),
+    const std::vector<Tensor>& plain_grads = plain_exec.state.grads;
+    const std::vector<Tensor>& fused_grads = fused_exec.state.grads;
+    ASSERT_EQ(plain_grads.size(), fused_grads.size());
+    for (std::size_t p = 0; p < plain_grads.size(); ++p) {
+      EXPECT_EQ(tensor::max_abs_diff(fused_grads[p].values(),
+                                     plain_grads[p].values()),
                 0.0f)
-          << "param " << plain_params[p].name;
+          << "param " << plain.param_specs()[p].name;
     }
-    EXPECT_THROW(fused.backward(src, ddst, dsrc_fused, true, pool),
-                 std::logic_error);
   }
 }
 

@@ -113,8 +113,7 @@ INSTANTIATE_TEST_SUITE_P(
     ThreadsAndPrecision, IntraopPrecisionInvariance,
     ::testing::Combine(::testing::Values(2, 4),
                        ::testing::Values(dnn::Precision::kFp32,
-                                         dnn::Precision::kBf16,
-                                         dnn::Precision::kInt8Weights)));
+                                         dnn::Precision::kBf16)));
 
 // --- CostModel unit tests --------------------------------------------
 

@@ -9,6 +9,7 @@
 #include "dnn/dense.hpp"
 #include "dnn/flatten.hpp"
 #include "dnn/loss.hpp"
+#include "dnn/standalone_exec.hpp"
 #include "runtime/rng.hpp"
 #include "runtime/thread_pool.hpp"
 #include "tensor/layout.hpp"
@@ -36,9 +37,10 @@ TEST_P(AvgPoolVsReference, ForwardMatches) {
 
   AvgPool3d layer("pool", AvgPool3dConfig{c.kernel, c.stride});
   const Tensor src = tensor::to_blocked_activation(plain);
-  layer.plan(src.shape());
+  plan_single(layer, src.shape());
+  StandaloneExec exec(layer);
   Tensor dst(layer.output_shape());
-  layer.forward(src, dst, pool);
+  exec.forward(src, dst, pool);
 
   const std::int64_t out =
       tensor::conv_out_dim(c.dhw, c.kernel, c.stride, 0);
@@ -65,13 +67,14 @@ TEST(AvgPool3d, BackwardDistributesMassExactly) {
   runtime::Rng rng(22);
   runtime::ThreadPool pool(2);
   AvgPool3d layer("pool", AvgPool3dConfig{2, 2});
-  layer.plan(Shape{1, 6, 6, 6, 16});
+  plan_single(layer, Shape{1, 6, 6, 6, 16});
+  StandaloneExec exec(layer);
   Tensor src(layer.input_shape());
   Tensor dst(layer.output_shape());
   Tensor ddst(layer.output_shape());
   tensor::fill_normal(ddst, rng, 0.0f, 1.0f);
   Tensor dsrc(layer.input_shape());
-  layer.backward(src, ddst, dsrc, true, pool);
+  exec.backward(src, dst, ddst, &dsrc, pool);
   EXPECT_NEAR(tensor::sum(dsrc.values()), tensor::sum(ddst.values()), 1e-3);
 }
 
@@ -79,7 +82,8 @@ TEST(AvgPool3d, BackwardGradCheck) {
   runtime::Rng rng(23);
   runtime::ThreadPool pool(2);
   AvgPool3d layer("pool", AvgPool3dConfig{3, 2});
-  layer.plan(Shape{1, 7, 7, 7, 16});
+  plan_single(layer, Shape{1, 7, 7, 7, 16});
+  StandaloneExec exec(layer);
   Tensor src(layer.input_shape());
   tensor::fill_normal(src, rng, 0.0f, 1.0f);
   Tensor dst(layer.output_shape());
@@ -87,12 +91,12 @@ TEST(AvgPool3d, BackwardGradCheck) {
   tensor::fill_normal(direction, rng, 0.0f, 1.0f);
 
   const auto loss = [&] {
-    layer.forward(src, dst, pool);
+    exec.forward(src, dst, pool);
     return tensor::dot(dst.values(), direction.values());
   };
   loss();
   Tensor dsrc(layer.input_shape());
-  layer.backward(src, direction, dsrc, true, pool);
+  exec.backward(src, dst, direction, &dsrc, pool);
 
   const float eps = 1e-2f;
   runtime::Rng pick(24);
@@ -110,12 +114,13 @@ TEST(AvgPool3d, BackwardGradCheck) {
 
 TEST(AvgPool3d, RejectsPlainInput) {
   AvgPool3d layer("pool", AvgPool3dConfig{2, 2});
-  EXPECT_THROW(layer.plan(Shape{16, 8, 8, 8}), std::invalid_argument);
+  EXPECT_THROW(plan_single(layer, Shape{16, 8, 8, 8}),
+               std::invalid_argument);
 }
 
 TEST(Dense, ForwardMatchesManualGemv) {
   Dense layer("fc", 3, 2);
-  layer.plan(Shape{3});
+  plan_single(layer, Shape{3});
   // w(i, o): rows are inputs.
   layer.weights() = Tensor(Shape{3, 2}, std::vector<float>{1, 2,   //
                                                            3, 4,   //
@@ -124,7 +129,7 @@ TEST(Dense, ForwardMatchesManualGemv) {
   runtime::ThreadPool pool(2);
   Tensor src(Shape{3}, std::vector<float>{1.0f, 0.5f, -1.0f});
   Tensor dst(Shape{2});
-  layer.forward(src, dst, pool);
+  StandaloneExec(layer).forward(src, dst, pool);
   EXPECT_FLOAT_EQ(dst[0], 1 * 1 + 0.5f * 3 - 1 * 5 + 0.5f);
   EXPECT_FLOAT_EQ(dst[1], 1 * 2 + 0.5f * 4 - 1 * 6 - 0.5f);
 }
@@ -133,8 +138,9 @@ TEST(Dense, GradCheck) {
   runtime::Rng rng(31);
   runtime::ThreadPool pool(2);
   Dense layer("fc", 20, 7);
-  layer.plan(Shape{20});
+  plan_single(layer, Shape{20});
   layer.init_xavier(rng);
+  StandaloneExec exec(layer);
 
   Tensor src(Shape{20});
   tensor::fill_normal(src, rng, 0.0f, 1.0f);
@@ -143,15 +149,14 @@ TEST(Dense, GradCheck) {
   tensor::fill_normal(direction, rng, 0.0f, 1.0f);
 
   const auto loss = [&] {
-    layer.forward(src, dst, pool);
+    exec.forward(src, dst, pool);
     return tensor::dot(dst.values(), direction.values());
   };
   loss();
   Tensor dsrc(Shape{20});
-  layer.backward(src, direction, dsrc, true, pool);
-  const auto params = layer.params();
-  const Tensor& dw = *params[0].grad;
-  const Tensor& db = *params[1].grad;
+  exec.backward(src, dst, direction, &dsrc, pool);
+  const Tensor& dw = exec.state.grads[0];
+  const Tensor& db = exec.state.grads[1];
 
   const float eps = 1e-2f;
   runtime::Rng pick(32);
@@ -188,18 +193,18 @@ TEST(Dense, GradCheck) {
 
 TEST(Dense, FlopAndParamCounts) {
   Dense layer("fc", 100, 30);
-  layer.plan(Shape{100});
+  plan_single(layer, Shape{100});
   EXPECT_EQ(layer.flops().fwd, 2 * 100 * 30);
   EXPECT_EQ(layer.param_count(), 100 * 30 + 30);
 }
 
 TEST(LeakyRelu, ForwardAppliesSlope) {
   LeakyRelu layer("act", 0.1f);
-  layer.plan(Shape{4});
+  plan_single(layer, Shape{4});
   runtime::ThreadPool pool(1);
   Tensor src(Shape{4}, std::vector<float>{-2.0f, -0.5f, 0.0f, 3.0f});
   Tensor dst(Shape{4});
-  layer.forward(src, dst, pool);
+  StandaloneExec(layer).forward(src, dst, pool);
   EXPECT_FLOAT_EQ(dst[0], -0.2f);
   EXPECT_FLOAT_EQ(dst[1], -0.05f);
   EXPECT_FLOAT_EQ(dst[2], 0.0f);
@@ -208,12 +213,13 @@ TEST(LeakyRelu, ForwardAppliesSlope) {
 
 TEST(LeakyRelu, BackwardUsesInputSign) {
   LeakyRelu layer("act", 0.25f);
-  layer.plan(Shape{3});
+  plan_single(layer, Shape{3});
   runtime::ThreadPool pool(1);
   Tensor src(Shape{3}, std::vector<float>{-1.0f, 2.0f, -3.0f});
   Tensor ddst(Shape{3}, std::vector<float>{1.0f, 1.0f, 2.0f});
+  Tensor dst(Shape{3});
   Tensor dsrc(Shape{3});
-  layer.backward(src, ddst, dsrc, true, pool);
+  StandaloneExec(layer).backward(src, dst, ddst, &dsrc, pool);
   EXPECT_FLOAT_EQ(dsrc[0], 0.25f);
   EXPECT_FLOAT_EQ(dsrc[1], 1.0f);
   EXPECT_FLOAT_EQ(dsrc[2], 0.5f);
@@ -232,10 +238,10 @@ TEST(Flatten, MatchesPlainFlattening) {
   const Tensor blocked = tensor::to_blocked_activation(plain);
 
   Flatten layer("flat", 32);
-  layer.plan(blocked.shape());
+  plan_single(layer, blocked.shape());
   EXPECT_EQ(layer.output_shape(), Shape({32 * 3 * 4 * 5}));
   Tensor dst(layer.output_shape());
-  layer.forward(blocked, dst, pool);
+  StandaloneExec(layer).forward(blocked, dst, pool);
   EXPECT_EQ(tensor::max_abs_diff(dst.values(), plain.values()), 0.0f);
 }
 
@@ -243,22 +249,25 @@ TEST(Flatten, BackwardRestoresBlockedLayout) {
   runtime::Rng rng(42);
   runtime::ThreadPool pool(2);
   Flatten layer("flat", 16);
-  layer.plan(Shape{1, 2, 2, 2, 16});
+  plan_single(layer, Shape{1, 2, 2, 2, 16});
+  StandaloneExec exec(layer);
   Tensor ddst(layer.output_shape());
   tensor::fill_normal(ddst, rng, 0.0f, 1.0f);
   Tensor dsrc(layer.input_shape());
   Tensor src(layer.input_shape());
-  layer.backward(src, ddst, dsrc, true, pool);
+  Tensor dst(layer.output_shape());
+  exec.backward(src, dst, ddst, &dsrc, pool);
 
   // Forward of the recovered dsrc must reproduce ddst.
   Tensor roundtrip(layer.output_shape());
-  layer.forward(dsrc, roundtrip, pool);
+  exec.forward(dsrc, roundtrip, pool);
   EXPECT_EQ(tensor::max_abs_diff(roundtrip.values(), ddst.values()), 0.0f);
 }
 
 TEST(Flatten, RejectsChannelMismatch) {
   Flatten layer("flat", 32);
-  EXPECT_THROW(layer.plan(Shape{1, 2, 2, 2, 16}), std::invalid_argument);
+  EXPECT_THROW(plan_single(layer, Shape{1, 2, 2, 2, 16}),
+               std::invalid_argument);
 }
 
 TEST(MseLoss, ValueAndGradient) {

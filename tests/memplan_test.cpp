@@ -18,6 +18,7 @@
 #include "dnn/avgpool3d.hpp"
 #include "dnn/conv3d.hpp"
 #include "dnn/network.hpp"
+#include "dnn/standalone_exec.hpp"
 #include "runtime/rng.hpp"
 #include "runtime/thread_pool.hpp"
 #include "tensor/layout.hpp"
@@ -123,27 +124,28 @@ TEST(MemplanCoverage, ConvGatherBackwardIgnoresStaleDsrc) {
     const std::int64_t kernel = c.kernel;
     const std::int64_t stride = c.stride;
     dnn::Conv3d conv("c", dnn::Conv3dConfig{16, 16, kernel, stride, c.pad});
-    conv.plan(Shape{1, 8, 8, 8, kB});
+    dnn::plan_single(conv, Shape{1, 8, 8, 8, kB});
     runtime::Rng rng(17, static_cast<std::uint64_t>(kernel * 10 + stride));
     conv.init_he(rng);
+    dnn::StandaloneExec exec(conv);
     runtime::ThreadPool pool(3);
 
     Tensor src(conv.input_shape());
     tensor::fill_normal(src, rng, 0.0f, 1.0f);
     Tensor dst(conv.output_shape());
-    conv.forward(src, dst, pool);
+    exec.forward(src, dst, pool);
     Tensor ddst(conv.output_shape());
     tensor::fill_normal(ddst, rng, 0.0f, 1.0f);
 
     Tensor dsrc_a(conv.input_shape());
     for (std::size_t i = 0; i < dsrc_a.size(); ++i) dsrc_a[i] = 1e9f;
     Tensor ddst_a = ddst.clone();
-    conv.backward(src, ddst_a, dsrc_a, /*need_dsrc=*/true, pool);
+    exec.backward(src, dst, ddst_a, &dsrc_a, pool);
 
     Tensor dsrc_b(conv.input_shape());
     for (std::size_t i = 0; i < dsrc_b.size(); ++i) dsrc_b[i] = -7e8f;
     Tensor ddst_b = ddst.clone();
-    conv.backward(src, ddst_b, dsrc_b, /*need_dsrc=*/true, pool);
+    exec.backward(src, dst, ddst_b, &dsrc_b, pool);
 
     EXPECT_EQ(tensor::max_abs_diff(dsrc_a.values(), dsrc_b.values()), 0.0f)
         << "k" << kernel << " s" << stride;
@@ -196,7 +198,7 @@ TEST(MemplanCoverage, PoolBackwardGapsTailsAndStaleDsrc) {
   for (const Case& c : {Case{2, 2, 8}, Case{2, 3, 8}, Case{3, 3, 10},
                         Case{2, 2, 9}, Case{3, 2, 8}}) {
     dnn::AvgPool3d layer("p", dnn::AvgPool3dConfig{c.kernel, c.stride});
-    layer.plan(Shape{2, c.in, c.in, c.in, kB});
+    dnn::plan_single(layer, Shape{2, c.in, c.in, c.in, kB});
     runtime::ThreadPool pool(3);
     runtime::Rng rng(23, static_cast<std::uint64_t>(c.kernel * 100 + c.in));
     Tensor src(layer.input_shape());
@@ -212,7 +214,8 @@ TEST(MemplanCoverage, PoolBackwardGapsTailsAndStaleDsrc) {
     // oracle's 0 + d*inv accumulation).
     Tensor dsrc(layer.input_shape());
     for (std::size_t i = 0; i < dsrc.size(); ++i) dsrc[i] = 3e9f;
-    layer.backward(src, ddst, dsrc, /*need_dsrc=*/true, pool);
+    Tensor dst(layer.output_shape());
+    dnn::StandaloneExec(layer).backward(src, dst, ddst, &dsrc, pool);
 
     EXPECT_EQ(tensor::max_abs_diff(dsrc.values(), expected.values()), 0.0f)
         << "k" << c.kernel << " s" << c.stride << " in" << c.in;

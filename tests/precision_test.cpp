@@ -1,6 +1,6 @@
 // Reduced-precision inference (DESIGN.md §2.5): conversion kernels,
-// quantization edge cases, the network-level side arenas, and the
-// accuracy-tolerance gate that licenses bf16/int8w serving.
+// the network-level side arena, and the accuracy-tolerance gate that
+// licenses bf16 serving.
 //
 // The tolerance tests run the SAME fixture (core::precision_eval) the
 // precision ablation bench reports on, with hard MAE thresholds: a
@@ -100,31 +100,6 @@ TEST(Precision, Bf16ArrayConvertersMatchScalarBits) {
   }
 }
 
-TEST(Precision, Int8ScaleAndQuantEdgeCases) {
-  // Dead (all-zero) channel: scale 0, quants 0, dequant exact.
-  EXPECT_EQ(dnn::int8_scale_from_max(0.0f), 0.0f);
-  EXPECT_EQ(dnn::quantize_int8(0.0f, 0.0f), 0);
-  EXPECT_EQ(dnn::quantize_int8(123.0f, 0.0f), 0);
-
-  // The channel max maps to exactly ±127 (symmetric grid, no -128).
-  const float max_abs = 0.37f;
-  const float inv_scale = 127.0f / max_abs;
-  EXPECT_EQ(dnn::quantize_int8(max_abs, inv_scale), 127);
-  EXPECT_EQ(dnn::quantize_int8(-max_abs, inv_scale), -127);
-  // Out-of-range values clamp instead of wrapping.
-  EXPECT_EQ(dnn::quantize_int8(10.0f * max_abs, inv_scale), 127);
-  EXPECT_EQ(dnn::quantize_int8(-10.0f * max_abs, inv_scale), -127);
-
-  // Round half away from zero on the integer grid.
-  EXPECT_EQ(dnn::quantize_int8(0.5f, 1.0f), 1);
-  EXPECT_EQ(dnn::quantize_int8(-0.5f, 1.0f), -1);
-  EXPECT_EQ(dnn::quantize_int8(0.49f, 1.0f), 0);
-
-  // scale * 127 recovers the channel max exactly in round-trip terms.
-  const float scale = dnn::int8_scale_from_max(max_abs);
-  EXPECT_NEAR(scale * 127.0f, max_abs, 1e-7f);
-}
-
 // --- Shared eval fixture ---------------------------------------------
 
 TEST(Precision, EvalFixtureIsDeterministicAndStreamStable) {
@@ -150,7 +125,6 @@ TEST(Precision, PrepareBuildsArenasAndRepacksOnReload) {
   dnn::Network net = core::build_network(core::cosmoflow_scaled(8), 7);
   EXPECT_TRUE(net.precision_prepared(dnn::Precision::kFp32));
   EXPECT_FALSE(net.precision_prepared(dnn::Precision::kBf16));
-  EXPECT_FALSE(net.precision_prepared(dnn::Precision::kInt8Weights));
 
   net.prepare_inference_precision(dnn::Precision::kBf16);
   ASSERT_TRUE(net.precision_prepared(dnn::Precision::kBf16));
@@ -182,27 +156,6 @@ TEST(Precision, PrepareBuildsArenasAndRepacksOnReload) {
   for (std::size_t j = 0; j < seg0.size(); ++j) {
     ASSERT_EQ(packed0[j], dnn::float_to_bf16(seg0[j]));
   }
-}
-
-TEST(Precision, Int8ScalesMatchChannelMaxima) {
-  dnn::Network net = core::build_network(core::cosmoflow_scaled(8), 7);
-  net.prepare_inference_precision(dnn::Precision::kInt8Weights);
-  ASSERT_TRUE(net.precision_prepared(dnn::Precision::kInt8Weights));
-  bool saw_quantized_layer = false;
-  for (std::size_t i = 0; i < net.layer_count(); ++i) {
-    const auto scales = net.int8_scale_segment(i);
-    const auto quants = net.int8_weight_segment(i);
-    if (scales.empty()) continue;
-    saw_quantized_layer = true;
-    ASSERT_FALSE(quants.empty());
-    for (const float s : scales) {
-      EXPECT_TRUE(std::isfinite(s));
-      EXPECT_GE(s, 0.0f);
-    }
-    // Quants stay on the symmetric grid.
-    for (const std::int8_t q : quants) EXPECT_GE(q, -127);
-  }
-  EXPECT_TRUE(saw_quantized_layer);
 }
 
 TEST(Precision, MakeContextRejectsUnpreparedAndTraining) {
@@ -290,17 +243,6 @@ TEST(Precision, Bf16PredictionsWithinTolerance) {
   EXPECT_LT(mae, 8e-3);
   // And the error must be small relative to the prediction scale.
   EXPECT_LT(mae, 0.05 * mean_abs);
-}
-
-TEST(Precision, Int8WeightPredictionsWithinTolerance) {
-  dnn::Network net = core::build_network(core::cosmoflow_scaled(16), 7);
-  net.prepare_inference_precision(dnn::Precision::kInt8Weights);
-  double mean_abs = 0.0;
-  const double mae =
-      mae_vs_fp32(net, dnn::Precision::kInt8Weights, &mean_abs);
-  EXPECT_GT(mae, 0.0);
-  EXPECT_LT(mae, 2.5e-2);
-  EXPECT_LT(mae, 0.15 * mean_abs);
 }
 
 // --- Serving integration ---------------------------------------------
