@@ -58,9 +58,8 @@
 #include "runtime/timer.hpp"
 #include "tensor/tensor_ops.hpp"
 
-#ifndef COSMOFLOW_GIT_SHA
-#define COSMOFLOW_GIT_SHA "unknown"
-#endif
+// COSMOFLOW_GIT_SHA, written at build time (bench/git_stamp.cmake).
+#include "git_stamp.h"
 
 namespace {
 

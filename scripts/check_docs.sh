@@ -17,10 +17,7 @@
 #   5. likewise for the intra-op threading ablation flags: a binary
 #      parsing --cost-model or a --threads-per-* flag must be named in
 #      EXPERIMENTS.md alongside documentation of that flag;
-#   6. likewise for the zero-copy data-path ablation flags: a binary
-#      parsing --no-mmap, --no-pool or --crc= must be named in
-#      EXPERIMENTS.md alongside documentation of that flag;
-#   7. likewise for the stock-topology selector: a binary parsing
+#   6. likewise for the stock-topology selector: a binary parsing
 #      --preset= must be named in EXPERIMENTS.md alongside
 #      documentation of that flag, so the preset names (cosmoflow-128
 #      et al.) stay discoverable.
@@ -103,27 +100,6 @@ for src in bench/*.cpp examples/*.cpp; do
   name="$(basename "$src" .cpp)"
   for flag in --cost-model --threads-per-stream --threads-per-worker \
               --threads-per-rank; do
-    grep -q -- "$flag" "$src" || continue
-    if ! grep -q -- "$flag" EXPERIMENTS.md; then
-      echo "FAIL: $name parses $flag but EXPERIMENTS.md never" \
-           "documents the flag" >&2
-      fail=1
-    fi
-    if ! grep -qw "$name" EXPERIMENTS.md; then
-      echo "FAIL: $name parses $flag but EXPERIMENTS.md never" \
-           "mentions $name" >&2
-      fail=1
-    fi
-  done
-done
-
-# Zero-copy data-path ablations (DESIGN.md §2.7): any binary parsing
-# --no-mmap, --no-pool or --crc= must be documented in EXPERIMENTS.md
-# together with the flag it parses.
-for src in bench/*.cpp examples/*.cpp; do
-  [ -e "$src" ] || continue
-  name="$(basename "$src" .cpp)"
-  for flag in --no-mmap --no-pool --crc=; do
     grep -q -- "$flag" "$src" || continue
     if ! grep -q -- "$flag" EXPERIMENTS.md; then
       echo "FAIL: $name parses $flag but EXPERIMENTS.md never" \

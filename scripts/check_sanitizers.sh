@@ -44,15 +44,16 @@ run_one() {
       # stack-local accumulator rows.
       env_name="ASAN_OPTIONS"
       env_value="halt_on_error=1 detect_stack_use_after_return=1"
-      # Crc32c/Cfrecord/CfrecordFuzz ride this leg: the slice-by-8 and
-      # SSE4.2 CRC kernels read the buffer 8 bytes at a time, mmap
-      # views hand out raw page-cache pointers, and the fuzz suite's
-      # corrupt length fields must never drive an out-of-bounds read
-      # or oversized allocation.
+      # Crc32c/Cfrecord/CfrecordFuzz ride this leg: the SSE4.2 CRC
+      # kernel reads the buffer 8 bytes at a time, mmap views hand out
+      # raw page-cache pointers, and the fuzz suite's corrupt length
+      # fields must never drive an out-of-bounds read or oversized
+      # allocation. Pipeline*/DataPath* run the ring's buffer swaps and
+      # the mmap'd shard reads end to end.
       # Graph*.* rides every leg: slot-colored act/diff arenas, the
       # fan-in merge buffers, and shape-view weight aliasing are all
       # raw-offset arena arithmetic.
-      filter='Memplan*.*:Network*.*:Context*.*:*BlockedConvVsReference.*:*AvgPoolVsReference.*:Conv3d*.*:Dense.*:LeakyRelu.*:Shapes/FusedConvVsUnfused*.*:FusedDenseVsUnfused*.*:Fusion*.*:AvgPool*.*:Flatten*.*:Threads/ConvThreadInvariance*.*:Precision*.*:Intraop*.*:*/Intraop*.*:Graph*.*:Crc32c*.*:Cfrecord*.*:CfrecordFuzz*.*:SampleSerialization*.*:DataPath*.*'
+      filter='Memplan*.*:Network*.*:Context*.*:*BlockedConvVsReference.*:*AvgPoolVsReference.*:Conv3d*.*:Dense.*:LeakyRelu.*:Shapes/FusedConvVsUnfused*.*:FusedDenseVsUnfused*.*:Fusion*.*:AvgPool*.*:Flatten*.*:Threads/ConvThreadInvariance*.*:Precision*.*:Intraop*.*:*/Intraop*.*:Graph*.*:Crc32c*.*:Cfrecord*.*:CfrecordFuzz*.*:SampleSerialization*.*:Pipeline*.*:DataPath*.*'
       ;;
     tsan)
       cmake_flag="-DCOSMOFLOW_TSAN=ON"
@@ -62,9 +63,9 @@ run_one() {
       env_name="TSAN_OPTIONS"
       env_value="halt_on_error=1 second_deadlock_stack=1"
       # Pipeline/PipelinePool/DataPath ride this leg: producer threads
-      # racing on the ring reorder buffer, the mutex-guarded
-      # SamplePool recycle path, and mapped shard readers shared
-      # across I/O threads (concurrent const view_at).
+      # racing on the ring reorder buffer and swapping their buffers
+      # with the consumer's through its slots, and mapped shard readers
+      # shared across I/O threads (concurrent const view_at).
       # Graph*.* rides this leg for the concurrent per-shape-context
       # smoke: parent + two shape views running inference from separate
       # threads over one shared weight arena
@@ -78,9 +79,10 @@ run_one() {
       # a log line; print_stacktrace makes it actionable.
       env_name="UBSAN_OPTIONS"
       env_value="halt_on_error=1 print_stacktrace=1"
-      # The CRC kernels' word loads and the cfrecord framing offsets
-      # are exactly the unsigned/pointer arithmetic UBSan checks.
-      filter='Shapes/FusedConvVsUnfused*.*:FusedDenseVsUnfused*.*:Fusion*.*:*BlockedConvVsReference.*:*AvgPoolVsReference.*:Conv3d*.*:Dense.*:LeakyRelu.*:Threads/ConvThreadInvariance*.*:Adam*.*:LarcFixture*.*:LarcAdamIntegration*.*:SgdMomentum*.*:Network*.*:Context*.*:Flatten*.*:Precision*.*:Intraop*.*:*/Intraop*.*:Graph*.*:Crc32c*.*:Cfrecord*.*:CfrecordFuzz*.*'
+      # The CRC kernel's word loads and the cfrecord framing offsets
+      # are exactly the unsigned/pointer arithmetic UBSan checks;
+      # Pipeline*/DataPath* drive them through the whole data path.
+      filter='Shapes/FusedConvVsUnfused*.*:FusedDenseVsUnfused*.*:Fusion*.*:*BlockedConvVsReference.*:*AvgPoolVsReference.*:Conv3d*.*:Dense.*:LeakyRelu.*:Threads/ConvThreadInvariance*.*:Adam*.*:LarcFixture*.*:LarcAdamIntegration*.*:SgdMomentum*.*:Network*.*:Context*.*:Flatten*.*:Precision*.*:Intraop*.*:*/Intraop*.*:Graph*.*:Crc32c*.*:Cfrecord*.*:CfrecordFuzz*.*:Pipeline*.*:DataPath*.*'
       ;;
     *)
       echo "unknown sanitizer '$san' (expected asan, tsan or ubsan)" >&2
@@ -95,18 +97,6 @@ run_one() {
 
   env "$env_name=$env_value" \
     "$build_dir/tests/cosmoflow_tests" --gtest_filter="$filter"
-
-  # The whole zero-copy data path under instrumentation: mmap parse,
-  # CRC kernels, pooled ring, end-to-end byte-identity check across the
-  # ablation grid. The TSan leg forces io_threads >= 2 so producers
-  # genuinely race on the ring and the pool.
-  cmake --build "$build_dir" --target bench_pipeline -j "$(nproc)"
-  if [ "$san" = "tsan" ]; then
-    env "$env_name=$env_value" "$build_dir/bench/bench_pipeline" --smoke \
-      --io-threads=2
-  else
-    env "$env_name=$env_value" "$build_dir/bench/bench_pipeline" --smoke
-  fi
 
   echo "$san: clean"
 }

@@ -211,7 +211,6 @@ void MlComm::reduce_scatter_allgather(int rank, std::span<float> data) {
       for (std::size_t i = 0; i < stop - chunk; ++i) out[i] += in[i];
     }
     for (std::size_t i = 0; i < stop - chunk; ++i) out[i] *= inv;
-    simulate_chunk_delay();
     ++chunks;
   }
   if (chunks > 0) allreduce_chunks_->add(chunks);
@@ -220,12 +219,6 @@ void MlComm::reduce_scatter_allgather(int rank, std::span<float> data) {
   // Allgather: copy the full averaged vector back.
   std::memcpy(data.data(), reduce_buffer_.data(), n * sizeof(float));
   barrier_.arrive_and_wait();
-}
-
-void MlComm::simulate_chunk_delay() const {
-  if (config_.simulated_chunk_delay.count() > 0) {
-    std::this_thread::sleep_for(config_.simulated_chunk_delay);
-  }
 }
 
 PendingReduce MlComm::post_async(int rank, std::span<float> data) {
@@ -351,7 +344,6 @@ void MlComm::reduce_bucket(const std::vector<BucketPost>& posts) {
       for (std::size_t i = 0; i < stop - chunk; ++i) out[i] += in[i];
     }
     for (std::size_t i = 0; i < stop - chunk; ++i) out[i] *= inv;
-    simulate_chunk_delay();
     ++chunks;
   }
   for (const BucketPost& post : posts) {

@@ -31,7 +31,6 @@
 // comm/exposed/r{r}, comm/buckets, comm/overlap_fraction/r{r}).
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -59,11 +58,6 @@ struct MlCommConfig {
   /// Test hook: invoked by each rank before it contributes to a
   /// collective (straggler injection).
   std::function<void(int rank)> pre_reduce_hook;
-  /// Bench hook: sleep this long per reduction chunk to simulate a
-  /// slower interconnect (applies to the synchronous reduce-scatter
-  /// loop and to the helper thread's bucket loop alike, so overlap
-  /// benches can dial in a realistic comm/compute ratio).
-  std::chrono::nanoseconds simulated_chunk_delay{0};
 };
 
 class MlComm;
@@ -178,7 +172,6 @@ class MlComm {
   void helper_loop();
   void reduce_bucket(const std::vector<BucketPost>& posts);
   void set_async_error_locked(std::exception_ptr error);
-  void simulate_chunk_delay() const;
 
   int nranks_;
   MlCommConfig config_;

@@ -56,9 +56,9 @@ TopologyConfig cosmoflow_scaled(std::int64_t input_dhw);
 TopologyConfig topology_for_input(std::int64_t input_dhw);
 
 /// Looks up a stock topology by preset name — the --preset flag of
-/// train_cosmoflow and bench_fig3_breakdown: "cosmoflow-128" (the
-/// paper's canonical network), "cosmoflow-64" / "-32" / "-16" / "-8"
-/// (the scaled variants) or "ravanbakhsh-64". Throws on unknown names.
+/// train_cosmoflow: "cosmoflow-128" (the paper's canonical network),
+/// "cosmoflow-64" / "-32" / "-16" / "-8" (the scaled variants) or
+/// "ravanbakhsh-64". Throws on unknown names.
 TopologyConfig preset_topology(const std::string& name);
 
 /// A residual / multi-head variant exercising the graph IR end to end

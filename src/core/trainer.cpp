@@ -193,6 +193,11 @@ void Trainer::rank_body(comm::RankHandle& rank,
   runtime::Rng augment_rng(config_.seed ^ 0xA46D454E54ULL,
                            static_cast<std::uint64_t>(r));
 
+  // One buffer for every next() of both pipelines across all epochs:
+  // each next() hands the previous buffer back to a ring, so a Sample
+  // made per epoch would feed the train ring an empty buffer to
+  // allocate for every epoch.
+  data::Sample sample;
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     CF_TRACE_SCOPE("train/epoch", "train");
     const runtime::Stopwatch epoch_watch;
@@ -203,7 +208,6 @@ void Trainer::rank_body(comm::RankHandle& rank,
 
     double loss_sum = 0.0;
     std::int64_t steps = 0;
-    data::Sample sample;
     while (steps < steps_per_epoch_ && train_pipeline.next(sample)) {
       CF_TRACE_SCOPE("train/step", "train");
       const runtime::Stopwatch step_watch;

@@ -21,7 +21,8 @@
 //    between the file and the deserializer. A mapped reader's
 //    view_at() is const and thread-safe, so one reader (its mapping
 //    and its index) is shared by every I/O thread.
-//  * stream (the fallback, and the `--no-mmap` ablation) — buffered
+//  * stream (the fallback where mapping is unavailable, and the
+//    reference the data-path tests compare mmap against) — buffered
 //    ifstream reads into caller buffers, one private reader per
 //    thread.
 //
@@ -70,7 +71,8 @@ class RecordWriter {
 
 enum class ReaderMode {
   kAuto,    ///< mmap when the platform supports it, else stream.
-  kStream,  ///< buffered ifstream reads (the `--no-mmap` ablation).
+  kStream,  ///< buffered ifstream reads: the platform fallback and
+            ///< the tests' reference for mmap.
   kMmap,    ///< mapped file; construction throws if mapping fails.
 };
 

@@ -1,8 +1,6 @@
 #include "data/crc32.hpp"
 
 #include <array>
-#include <atomic>
-#include <stdexcept>
 
 #include "data/bytes.hpp"
 
@@ -15,69 +13,33 @@ namespace cf::data {
 
 namespace {
 
-// t[0] is the classic bytewise table; t[k] advances a byte through
-// k additional zero bytes, so eight lanes of a 64-bit word can be
-// folded independently and xor-combined (slice-by-8).
-struct Tables {
-  std::array<std::array<std::uint32_t, 256>, 8> t;
-};
-
-Tables build_tables() {
+std::array<std::uint32_t, 256> build_table() {
   // Reflected CRC32-C polynomial.
   constexpr std::uint32_t kPoly = 0x82F63B78u;
-  Tables tables{};
+  std::array<std::uint32_t, 256> table{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc & 1u) ? (crc >> 1) ^ kPoly : crc >> 1;
     }
-    tables.t[0][i] = crc;
+    table[i] = crc;
   }
-  for (std::size_t k = 1; k < 8; ++k) {
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      const std::uint32_t prev = tables.t[k - 1][i];
-      tables.t[k][i] = (prev >> 8) ^ tables.t[0][prev & 0xFFu];
-    }
-  }
-  return tables;
-}
-
-const Tables& tables() {
-  static const Tables t = build_tables();
-  return t;
+  return table;
 }
 
 constexpr std::uint32_t kMaskDelta = 0xA282EAD8u;
 
 // --- kernels ---------------------------------------------------------
 // Each takes and returns the *inverted* running state (~crc), so the
-// dispatcher owns the single pre/post complement.
+// callers own the single pre/post complement.
 
 std::uint32_t update_table(std::uint32_t crc,
                            std::span<const std::uint8_t> bytes) {
-  const auto& t0 = tables().t[0];
+  static const std::array<std::uint32_t, 256> table = build_table();
   for (const std::uint8_t b : bytes) {
-    crc = (crc >> 8) ^ t0[(crc ^ b) & 0xFFu];
+    crc = (crc >> 8) ^ table[(crc ^ b) & 0xFFu];
   }
   return crc;
-}
-
-std::uint32_t update_slice8(std::uint32_t crc,
-                            std::span<const std::uint8_t> bytes) {
-  const Tables& tb = tables();
-  const std::uint8_t* p = bytes.data();
-  std::size_t n = bytes.size();
-  while (n >= 8) {
-    const std::uint64_t x =
-        static_cast<std::uint64_t>(crc) ^ load_le<std::uint64_t>(p);
-    crc = tb.t[7][x & 0xFFu] ^ tb.t[6][(x >> 8) & 0xFFu] ^
-          tb.t[5][(x >> 16) & 0xFFu] ^ tb.t[4][(x >> 24) & 0xFFu] ^
-          tb.t[3][(x >> 32) & 0xFFu] ^ tb.t[2][(x >> 40) & 0xFFu] ^
-          tb.t[1][(x >> 48) & 0xFFu] ^ tb.t[0][(x >> 56) & 0xFFu];
-    p += 8;
-    n -= 8;
-  }
-  return update_table(crc, {p, n});
 }
 
 #ifdef COSMOFLOW_CRC32_X86
@@ -98,74 +60,27 @@ __attribute__((target("sse4.2"))) std::uint32_t update_hardware(
   }
   return crc32;
 }
-
-bool detect_sse42() noexcept { return __builtin_cpu_supports("sse4.2"); }
-#else
-bool detect_sse42() noexcept { return false; }
 #endif
 
-CrcImpl default_impl() noexcept {
-  return detect_sse42() ? CrcImpl::kHardware : CrcImpl::kSlice8;
-}
+using UpdateFn = std::uint32_t (*)(std::uint32_t,
+                                   std::span<const std::uint8_t>);
 
-std::atomic<CrcImpl> g_impl{default_impl()};
-
-std::uint32_t update_with(CrcImpl impl, std::uint32_t crc,
-                          std::span<const std::uint8_t> bytes) {
-  switch (impl) {
-    case CrcImpl::kTable:
-      return update_table(crc, bytes);
-    case CrcImpl::kSlice8:
-      return update_slice8(crc, bytes);
-    case CrcImpl::kHardware:
+UpdateFn select_kernel() noexcept {
 #ifdef COSMOFLOW_CRC32_X86
-      return update_hardware(crc, bytes);
-#else
-      break;
+  if (__builtin_cpu_supports("sse4.2")) return update_hardware;
 #endif
-  }
-  throw std::logic_error("crc32c: hardware kernel unavailable");
+  return update_table;
 }
 
 }  // namespace
 
 std::uint32_t crc32c(std::span<const std::uint8_t> bytes) {
-  return ~update_with(g_impl.load(std::memory_order_relaxed), ~0u, bytes);
+  static const UpdateFn kernel = select_kernel();
+  return ~kernel(~0u, bytes);
 }
 
-const char* to_string(CrcImpl impl) noexcept {
-  switch (impl) {
-    case CrcImpl::kTable:
-      return "table";
-    case CrcImpl::kSlice8:
-      return "slice8";
-    case CrcImpl::kHardware:
-      return "hw";
-  }
-  return "?";
-}
-
-bool crc32c_hardware_available() noexcept { return detect_sse42(); }
-
-CrcImpl crc32c_impl() noexcept {
-  return g_impl.load(std::memory_order_relaxed);
-}
-
-void set_crc32c_impl(CrcImpl impl) {
-  if (impl == CrcImpl::kHardware && !crc32c_hardware_available()) {
-    throw std::invalid_argument(
-        "set_crc32c_impl: this machine has no SSE4.2 crc32");
-  }
-  g_impl.store(impl, std::memory_order_relaxed);
-}
-
-std::uint32_t crc32c_with(CrcImpl impl,
-                          std::span<const std::uint8_t> bytes) {
-  if (impl == CrcImpl::kHardware && !crc32c_hardware_available()) {
-    throw std::invalid_argument(
-        "crc32c_with: this machine has no SSE4.2 crc32");
-  }
-  return ~update_with(impl, ~0u, bytes);
+std::uint32_t crc32c_table(std::span<const std::uint8_t> bytes) {
+  return ~update_table(~0u, bytes);
 }
 
 std::uint32_t mask_crc(std::uint32_t crc) {

@@ -5,25 +5,12 @@
 // CRC32-C so truncation and corruption are detected at read time.
 //
 // Every sample is a multi-megabyte voxel payload, so the checksum is
-// real bandwidth on the read path. Three kernels compute the same
-// polynomial (DESIGN.md §2.7 pins them bitwise-identical):
-//
-//  * kTable    — the bytewise 256-entry table. One table lookup per
-//                byte with a serial dependency chain (~1 GB/s); kept
-//                as the reference implementation and the ablation
-//                baseline (`bench_pipeline --crc=table`).
-//  * kSlice8   — slice-by-8: one 64-bit load per 8 bytes folded
-//                through 8 parallel tables, breaking the per-byte
-//                dependency chain.
-//  * kHardware — SSE4.2 `crc32q` (one 8-byte fold per ~3-cycle
-//                latency chain), compiled with a target attribute and
-//                selected only when cpuid reports the ISA.
-//
-// crc32c() dispatches once at process start to the fastest kernel the
-// machine supports; crc32c_with() addresses a specific kernel (tests,
-// bench ablations) and set_crc32c_impl() pins the process-wide choice
-// (not thread-safe against in-flight crc32c() calls — call it before
-// spinning up I/O threads).
+// real bandwidth on the read path. crc32c() uses the SSE4.2 `crc32q`
+// instruction (one 8-byte fold per ~3-cycle latency chain, compiled
+// with a target attribute) when cpuid reports it, chosen once per
+// process, and the bytewise 256-entry table otherwise. The table
+// kernel stays public as the reference the tests compare against
+// (DESIGN.md §2.7 pins the two bitwise-identical).
 #pragma once
 
 #include <cstdint>
@@ -31,26 +18,12 @@
 
 namespace cf::data {
 
-/// CRC32-C over `bytes` (polynomial 0x1EDC6F41, reflected), via the
-/// kernel selected by runtime dispatch.
+/// CRC32-C over `bytes` (polynomial 0x1EDC6F41, reflected), with the
+/// hardware kernel where the CPU has one.
 std::uint32_t crc32c(std::span<const std::uint8_t> bytes);
 
-enum class CrcImpl { kTable = 0, kSlice8 = 1, kHardware = 2 };
-
-const char* to_string(CrcImpl impl) noexcept;
-
-/// True when the CPU exposes SSE4.2 (the crc32 instruction).
-bool crc32c_hardware_available() noexcept;
-
-/// The kernel crc32c() currently dispatches to.
-CrcImpl crc32c_impl() noexcept;
-
-/// Forces crc32c() onto a specific kernel (ablation hook). Throws
-/// std::invalid_argument for kHardware on a machine without SSE4.2.
-void set_crc32c_impl(CrcImpl impl);
-
-/// Computes with an explicit kernel, ignoring the dispatch choice.
-std::uint32_t crc32c_with(CrcImpl impl, std::span<const std::uint8_t> bytes);
+/// The same CRC through the bytewise table, on every CPU (reference).
+std::uint32_t crc32c_table(std::span<const std::uint8_t> bytes);
 
 /// TFRecord CRC masking: rotate right by 15 and add a constant, so
 /// CRCs stored alongside CRC-covered data do not confuse the checker.

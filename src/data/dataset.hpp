@@ -26,8 +26,9 @@ class SampleReader {
   virtual Sample get(std::size_t index) = 0;
 
   /// Allocation-free variant: deserializes sample `index` into `out`,
-  /// reusing its volume storage when the shape matches (the pooled
-  /// pipeline's steady state). Byte-identical to get().
+  /// reusing its volume storage when the shape matches (the
+  /// pipeline's steady state, where buffers recycle through its ring).
+  /// Byte-identical to get().
   virtual void get_into(std::size_t index, Sample& out) {
     out = get(index);
   }
@@ -61,8 +62,8 @@ class InMemorySource final : public SampleSource {
 /// view_at() is const and thread-safe — so readers deserialize
 /// straight out of the page cache with zero per-reader file handles
 /// and zero payload copies. In stream mode (ReaderMode::kStream, the
-/// `--no-mmap` ablation) each reader opens private ifstream handles
-/// but still reuses the prebuilt index.
+/// platform fallback) each reader opens private ifstream handles but
+/// still reuses the prebuilt index.
 class CfrecordSource final : public SampleSource {
  public:
   explicit CfrecordSource(std::vector<std::string> shard_paths,

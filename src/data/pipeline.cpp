@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/telemetry.hpp"
 #include "runtime/rng.hpp"
@@ -52,17 +53,11 @@ void Pipeline::start_epoch(std::vector<std::size_t> indices) {
 bool Pipeline::next(Sample& out) {
   CF_TRACE_SCOPE("io/wait_sample", "io");
   const obs::ScopedStatTimer timer(*wait_stat_);
-  // Recycle the caller's previous buffer before blocking so a producer
-  // can reuse it while we wait (pool has its own lock).
-  if (config_.pool && out.volume.size() > 0) {
-    pool_.release(std::move(out));
-    out = Sample{};
-  }
   std::unique_lock lock(mutex_);
   if (consumed_ == indices_.size()) return false;  // epoch exhausted
   Slot& slot = ring_[consumed_ % config_.queue_capacity];
   queue_not_empty_.wait(lock, [&] { return slot.full; });
-  out = std::move(slot.sample);
+  std::swap(out, slot.sample);  // park the caller's old buffer
   slot.full = false;
   ++consumed_;
   lock.unlock();
@@ -72,6 +67,9 @@ bool Pipeline::next(Sample& out) {
 
 void Pipeline::producer_loop(std::size_t /*thread_index*/) {
   const std::unique_ptr<SampleReader> reader = source_.make_reader();
+  // This producer's buffer, refilled by every read and swapped for the
+  // one parked in the slot it deposits into.
+  Sample sample;
   std::size_t seen_epoch = 0;
   for (;;) {
     std::size_t index = 0;
@@ -89,8 +87,19 @@ void Pipeline::producer_loop(std::size_t /*thread_index*/) {
       position = cursor_;
       index = indices_[cursor_++];
       if (cursor_ >= indices_.size()) seen_epoch = epoch_;
+      // A never-filled buffer would allocate on this read: trade it for
+      // a filled one parked in a free slot. When an epoch is shorter
+      // than the ring, the consumer's returns sit in slots the next
+      // epoch deposits into only after its reads.
+      if (sample.volume.empty()) {
+        for (Slot& slot : ring_) {
+          if (!slot.full && !slot.sample.volume.empty()) {
+            std::swap(sample, slot.sample);
+            break;
+          }
+        }
+      }
     }
-    Sample sample = config_.pool ? pool_.acquire() : Sample{};
     {
       CF_TRACE_SCOPE("io/read_sample", "io");
       reader->get_into(index, sample);
@@ -116,7 +125,7 @@ void Pipeline::producer_loop(std::size_t /*thread_index*/) {
       });
       if (stopping_) return;
       Slot& slot = ring_[position % config_.queue_capacity];
-      slot.sample = std::move(sample);
+      std::swap(slot.sample, sample);
       slot.full = true;
     }
     queue_not_empty_.notify_all();

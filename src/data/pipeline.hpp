@@ -11,6 +11,18 @@
 // tests pin). The time a consumer spends blocked in next() is the
 // *unhidden* I/O cost — exactly the quantity Eq. 1 bounds — and is
 // tracked for the Fig 3 breakdown.
+//
+// Sample buffers are recycled through the ring itself: next() swaps the
+// consumer's previous buffer into the slot it empties, and each
+// producer deposits by swapping its buffer for the one parked in the
+// slot. A producer about to read into a never-filled buffer first
+// trades it for a filled one parked in any free slot, so a read
+// allocates only when no slot parks one. A pipeline whose consumer
+// keeps one Sample across epochs therefore allocates at most
+// queue_capacity + io_threads + 1 buffers in its life (the slots, one
+// per producer, the consumer's). From the second epoch on, given two
+// samples or more per epoch, an epoch's first read (the one the
+// consumer waits for) never allocates.
 #pragma once
 
 #include <condition_variable>
@@ -21,7 +33,6 @@
 #include <vector>
 
 #include "data/dataset.hpp"
-#include "data/sample_pool.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/timer.hpp"
 
@@ -33,10 +44,6 @@ struct PipelineConfig {
   /// Injected per-read delay in seconds (filesystem model hook for the
   /// I/O experiments); 0 disables.
   double injected_read_delay = 0.0;
-  /// Recycle sample buffers through a SamplePool (steady state: zero
-  /// allocations per sample). False is the `--no-pool` ablation;
-  /// delivered bytes are identical either way.
-  bool pool = true;
   /// obs registry prefix for this pipeline's metrics; the consumer
   /// wait Stat is `<metric_prefix>/wait` (reset at construction). The
   /// Trainer names its pipelines per rank and split, e.g.
@@ -57,9 +64,9 @@ class Pipeline {
   void start_epoch(std::vector<std::size_t> indices);
 
   /// Pops the next sample; returns false when the epoch is exhausted.
-  /// When pooling is enabled, `out`'s previous buffer is recycled into
-  /// the pool first — callers reuse one Sample across next() calls and
-  /// must not hold references into the buffer they passed in.
+  /// `out`'s previous buffer goes back into the ring for a producer to
+  /// refill — callers reuse one Sample across next() calls and epochs
+  /// and must not hold references into the buffer they passed in.
   bool next(Sample& out);
 
   /// Time spent blocked inside next() (unhidden I/O) — a snapshot of
@@ -81,7 +88,8 @@ class Pipeline {
   /// p % queue_capacity. The backpressure invariant (at most
   /// queue_capacity positions in flight beyond the consumer) makes the
   /// mapping collision-free, so the seed's std::map (a node allocation
-  /// per sample) becomes queue_capacity slots allocated once.
+  /// per sample) becomes queue_capacity slots allocated once. An empty
+  /// slot parks the buffer the consumer handed back.
   struct Slot {
     Sample sample;
     bool full = false;
@@ -96,7 +104,6 @@ class Pipeline {
   obs::Stat* wait_stat_ = nullptr;        // <metric_prefix>/wait
   obs::Counter* samples_counter_ = nullptr;  // data/pipeline/samples_prefetched
   obs::Counter* bytes_counter_ = nullptr;    // data/pipeline/bytes_prefetched
-  SamplePool pool_;  // buffer recycling (config_.pool)
   std::vector<std::thread> producers_;
 };
 

@@ -79,8 +79,8 @@ void deserialize_sample_into(std::span<const std::uint8_t> payload,
     throw std::invalid_argument("deserialize_sample: size mismatch");
   }
   const tensor::Shape shape{1, dims[0], dims[1], dims[2]};
-  // Steady state of the pooled pipeline: the recycled slot already has
-  // a matching buffer, so the voxel memcpy is the only byte movement.
+  // Steady state of the pipeline: the recycled buffer already has a
+  // matching shape, so the voxel memcpy is the only byte movement.
   if (out.volume.shape() != shape || !out.volume.owns_storage()) {
     out.volume = tensor::Tensor(shape);
   }

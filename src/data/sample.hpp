@@ -41,7 +41,7 @@ Sample deserialize_sample(std::span<const std::uint8_t> payload);
 
 /// Allocation-free inverse of serialize_sample: deserializes into
 /// `out`, reusing its volume storage when the shape matches (the
-/// steady state of a pooled pipeline — see data/sample_pool.hpp) and
+/// steady state of a Pipeline, which recycles its buffers) and
 /// allocating only on first use or shape change. The result is
 /// byte-identical to deserialize_sample's.
 void deserialize_sample_into(std::span<const std::uint8_t> payload,

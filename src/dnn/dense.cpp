@@ -67,6 +67,30 @@ namespace {
 constexpr std::int64_t kSerialWorkLimit = 4096;
 }  // namespace
 
+// The forward pass splits the reduction over the input dimension into a
+// *fixed* number of chunks combined in chunk order, so the
+// floating-point summation order — and therefore the result — is
+// independent of the thread count (the determinism invariant
+// synchronous training rests on).
+std::size_t Dense::forward_chunks() const noexcept {
+  return std::min<std::size_t>(16, static_cast<std::size_t>(in_));
+}
+
+std::size_t Dense::forward_workspace_floats() const {
+  return (forward_chunks() + 1) * static_cast<std::size_t>(out_);
+}
+
+float* Dense::zeroed_accumulators(LayerExecState& exec) const {
+  if (exec.workspace.size() < forward_workspace_floats()) {
+    throw std::logic_error("Dense: workspace smaller than "
+                           "forward_workspace_floats()");
+  }
+  std::memset(exec.workspace.data(), 0,
+              forward_chunks() * static_cast<std::size_t>(out_) *
+                  sizeof(float));
+  return exec.workspace.data();
+}
+
 void Dense::init_xavier(runtime::Rng& rng) {
   const float limit = std::sqrt(6.0f / static_cast<float>(in_ + out_));
   tensor::fill_uniform(weights_, rng, -limit, limit);
@@ -81,24 +105,17 @@ void Dense::forward(Inputs srcs, Tensor& dst, LayerExecState& exec,
   if (src.shape() != input_shape() || dst.shape() != output_shape()) {
     throw std::invalid_argument("Dense::forward: shape mismatch");
   }
-  // Split the reduction over the input dimension into a *fixed* number
-  // of chunks combined in chunk order, so the floating-point summation
-  // order — and therefore the result — is independent of the thread
-  // count (the determinism invariant synchronous training rests on).
-  constexpr std::size_t kChunks = 16;
-  const std::size_t chunks =
-      std::min<std::size_t>(kChunks, static_cast<std::size_t>(in_));
+  const std::size_t chunks = forward_chunks();
   const std::size_t chunk_size =
       (static_cast<std::size_t>(in_) + chunks - 1) / chunks;
-  std::vector<std::vector<float>> partial(
-      chunks, std::vector<float>(static_cast<std::size_t>(out_), 0.0f));
+  float* const partial = zeroed_accumulators(exec);
   const std::size_t grain = std::max<std::size_t>(
       in_ * out_ <= kSerialWorkLimit ? chunks : 1, exec.intraop_grain);
   pool.parallel_for(
       chunks,
       [&](std::size_t begin, std::size_t end, std::size_t) {
         for (std::size_t chunk = begin; chunk < end; ++chunk) {
-          float* acc = partial[chunk].data();
+          float* acc = partial + chunk * static_cast<std::size_t>(out_);
           const std::size_t lo = chunk * chunk_size;
           const std::size_t hi = std::min(
               static_cast<std::size_t>(in_), lo + chunk_size);
@@ -112,9 +129,10 @@ void Dense::forward(Inputs srcs, Tensor& dst, LayerExecState& exec,
       grain);
   std::memcpy(dst.data(), bias_.data(),
               static_cast<std::size_t>(out_) * sizeof(float));
-  for (const auto& acc : partial) {
+  for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
+    const float* acc = partial + chunk * static_cast<std::size_t>(out_);
     for (std::int64_t o = 0; o < out_; ++o) {
-      dst[static_cast<std::size_t>(o)] += acc[static_cast<std::size_t>(o)];
+      dst[static_cast<std::size_t>(o)] += acc[o];
     }
   }
   if (fused_) {

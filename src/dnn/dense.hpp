@@ -22,6 +22,10 @@ class Dense final : public Layer {
 
   void forward(Inputs srcs, tensor::Tensor& dst, LayerExecState& exec,
                runtime::ThreadPool& pool) const override;
+  /// The forward reduction's chunk accumulators, one row of
+  /// out_features per chunk, plus one fp32 output row for
+  /// forward_bf16. Zeroed on every call, so the region may be shared.
+  std::size_t forward_workspace_floats() const override;
   void backward(Inputs srcs, const tensor::Tensor& dst, tensor::Tensor& ddst,
                 InputGrads dsrcs, LayerExecState& exec,
                 runtime::ThreadPool& pool) const override;
@@ -65,6 +69,12 @@ class Dense final : public Layer {
   tensor::Tensor& bias() noexcept { return bias_; }
 
  private:
+  /// Fixed chunk count of the forward reduction over the inputs.
+  std::size_t forward_chunks() const noexcept;
+  /// The stream's workspace with its chunk accumulators zeroed; throws
+  /// std::logic_error when it is smaller than forward_workspace_floats().
+  float* zeroed_accumulators(LayerExecState& exec) const;
+
   std::int64_t in_ = 0;
   std::int64_t out_ = 0;
   bool fused_ = false;

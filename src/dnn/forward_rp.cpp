@@ -727,11 +727,9 @@ void Dense::forward_bf16(const bf16_t* src, bf16_t* dst,
     throw std::logic_error("Dense::forward_bf16: bad param segment size");
   }
   const bf16_t* wbase = params.data();  // {I, O}, weights then bias
-  // Same fixed 16-chunk deterministic reduction as the fp32 forward.
-  constexpr std::size_t kChunks = 16;
+  // Same fixed-chunk deterministic reduction as the fp32 forward.
   constexpr std::int64_t kSerialWorkLimit = 4096;
-  const std::size_t chunks =
-      std::min<std::size_t>(kChunks, static_cast<std::size_t>(in_));
+  const std::size_t chunks = forward_chunks();
   const std::size_t chunk_size =
       (static_cast<std::size_t>(in_) + chunks - 1) / chunks;
 #if CF_BF16_DP
@@ -741,15 +739,14 @@ void Dense::forward_bf16(const bf16_t* src, bf16_t* dst,
   // boundary even, so chunk sums match the tap grouping exactly.
   const bool packed = (in_ % 32 == 0) && (out_ % kB == 0);
 #endif
-  std::vector<std::vector<float>> partial(
-      chunks, std::vector<float>(static_cast<std::size_t>(out_), 0.0f));
+  float* const partial = zeroed_accumulators(exec);
   const std::size_t grain = std::max<std::size_t>(
       in_ * out_ <= kSerialWorkLimit ? chunks : 1, exec.intraop_grain);
   pool.parallel_for(
       chunks,
       [&](std::size_t begin, std::size_t end, std::size_t) {
         for (std::size_t chunk = begin; chunk < end; ++chunk) {
-          float* acc = partial[chunk].data();
+          float* acc = partial + chunk * static_cast<std::size_t>(out_);
           const std::size_t lo = chunk * chunk_size;
           const std::size_t hi =
               std::min(static_cast<std::size_t>(in_), lo + chunk_size);
@@ -790,16 +787,16 @@ void Dense::forward_bf16(const bf16_t* src, bf16_t* dst,
         }
       },
       grain);
-  std::vector<float> out(static_cast<std::size_t>(out_));
-  std::memcpy(out.data(), bias_.data(),
+  // The fp32 output row follows the chunk rows in the workspace.
+  float* const out = partial + chunks * static_cast<std::size_t>(out_);
+  std::memcpy(out, bias_.data(),
               static_cast<std::size_t>(out_) * sizeof(float));
-  for (const auto& acc : partial) {
-    for (std::int64_t o = 0; o < out_; ++o) {
-      out[static_cast<std::size_t>(o)] += acc[static_cast<std::size_t>(o)];
-    }
+  for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
+    const float* acc = partial + chunk * static_cast<std::size_t>(out_);
+    for (std::int64_t o = 0; o < out_; ++o) out[o] += acc[o];
   }
-  if (fused_) eltwise_row(out.data(), out_, slope_);
-  bf16_from_f32(out.data(), dst, static_cast<std::size_t>(out_));
+  if (fused_) eltwise_row(out, out_, slope_);
+  bf16_from_f32(out, dst, static_cast<std::size_t>(out_));
 }
 
 void Dense::pack_weights_bf16(std::span<bf16_t> segment) const {

@@ -99,10 +99,10 @@ struct LayerExecState {
   LayerTimers timers;
 
   /// Forward staging memory, size >= forward_workspace_floats()
-  /// (the conv padded-source copy). Zeroed once at creation; when
-  /// `workspace_shared` is set the region is aliased by other layers
-  /// between calls, so the layer must re-establish any zero borders
-  /// itself each call.
+  /// (the conv padded-source copy, the dense chunk accumulators).
+  /// Zeroed once at creation; when `workspace_shared` is set the region
+  /// is aliased by other layers between calls, so the layer must
+  /// re-establish any zero borders itself each call.
   std::span<float> workspace;
   bool workspace_shared = false;
 
@@ -232,8 +232,9 @@ class Layer {
   }
 
   /// Floats of forward staging workspace this stream must provide
-  /// (the conv padded-source copy). The execution context zeroes the
-  /// region once at creation; see LayerExecState::workspace.
+  /// (the conv padded-source copy, the dense chunk accumulators). The
+  /// execution context zeroes the region once at creation; see
+  /// LayerExecState::workspace.
   virtual std::size_t forward_workspace_floats() const { return 0; }
 
   /// Floats of backward scratch this layer wants. Layer backwards of

@@ -69,12 +69,8 @@ TEST(Crc32c, MaskRoundTrip) {
   }
 }
 
-std::vector<CrcImpl> available_impls() {
-  std::vector<CrcImpl> impls{CrcImpl::kTable, CrcImpl::kSlice8};
-  if (crc32c_hardware_available()) impls.push_back(CrcImpl::kHardware);
-  return impls;
-}
-
+// crc32c() runs the SSE4.2 kernel where the CPU has it; the bytewise
+// table is the reference.
 TEST(Crc32c, AllKernelsAgreeOnRandomInputs) {
   runtime::Rng rng(42);
   for (const std::size_t size : {1u, 7u, 8u, 9u, 63u, 64u, 65u, 1000u,
@@ -83,17 +79,13 @@ TEST(Crc32c, AllKernelsAgreeOnRandomInputs) {
     for (auto& b : buf) {
       b = static_cast<std::uint8_t>(rng.uniform_index(256));
     }
-    const std::uint32_t reference = crc32c_with(CrcImpl::kTable, buf);
-    for (const CrcImpl impl : available_impls()) {
-      EXPECT_EQ(crc32c_with(impl, buf), reference)
-          << to_string(impl) << " size " << size;
-    }
+    EXPECT_EQ(crc32c(buf), crc32c_table(buf)) << "size " << size;
   }
 }
 
 TEST(Crc32c, AllKernelsAgreeOnAdversarialInputs) {
   // Every length 0..64 at every offset 0..8 — the word-at-a-time
-  // kernels' tail and misalignment handling — over pessimal byte
+  // kernel's tail and misalignment handling — over pessimal byte
   // patterns (all-zero, all-ones, ramp).
   std::vector<std::uint8_t> backing(96);
   const auto sweep = [&] {
@@ -101,12 +93,8 @@ TEST(Crc32c, AllKernelsAgreeOnAdversarialInputs) {
       for (std::size_t len = 0; len <= 64; ++len) {
         const std::span<const std::uint8_t> window{backing.data() + off,
                                                    len};
-        const std::uint32_t reference =
-            crc32c_with(CrcImpl::kTable, window);
-        for (const CrcImpl impl : available_impls()) {
-          ASSERT_EQ(crc32c_with(impl, window), reference)
-              << to_string(impl) << " off " << off << " len " << len;
-        }
+        ASSERT_EQ(crc32c(window), crc32c_table(window))
+            << "off " << off << " len " << len;
       }
     }
   };
@@ -118,24 +106,6 @@ TEST(Crc32c, AllKernelsAgreeOnAdversarialInputs) {
     backing[i] = static_cast<std::uint8_t>(i * 37);
   }
   sweep();
-}
-
-TEST(Crc32c, DispatchIsSwitchableAndConsistent) {
-  const CrcImpl before = crc32c_impl();
-  const std::vector<std::uint8_t> bytes{1, 2, 3, 4, 5, 6, 7, 8, 9};
-  const std::uint32_t reference = crc32c(bytes);
-  for (const CrcImpl impl : available_impls()) {
-    set_crc32c_impl(impl);
-    EXPECT_EQ(crc32c_impl(), impl);
-    EXPECT_EQ(crc32c(bytes), reference);
-  }
-  set_crc32c_impl(before);
-  if (!crc32c_hardware_available()) {
-    EXPECT_THROW(set_crc32c_impl(CrcImpl::kHardware),
-                 std::invalid_argument);
-    EXPECT_THROW(crc32c_with(CrcImpl::kHardware, bytes),
-                 std::invalid_argument);
-  }
 }
 
 TEST(Cfrecord, WriteReadRoundTrip) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "dnn/activations.hpp"
@@ -189,6 +190,32 @@ TEST(Dense, GradCheck) {
     src[i] = original;
     EXPECT_NEAR(dsrc[i], (up - down) / (2 * eps), 1e-3);
   }
+}
+
+TEST(Dense, ForwardWorkspaceIsCheckedAndZeroedEachCall) {
+  runtime::Rng rng(33);
+  runtime::ThreadPool pool(2);
+  Dense layer("fc", 40, 9);
+  plan_single(layer, Shape{40});
+  layer.init_xavier(rng);
+  Tensor src(Shape{40});
+  tensor::fill_normal(src, rng, 0.0f, 1.0f);
+  Tensor want(Shape{9});
+  StandaloneExec(layer).forward(src, want, pool);
+
+  // The chunk accumulators live in the stream's workspace; an
+  // inference context shares that region with other layers, so a
+  // dirty workspace must not change the output bits.
+  StandaloneExec exec(layer);
+  const std::size_t need = layer.forward_workspace_floats();
+  ASSERT_GT(need, 0u);
+  for (float& v : exec.state.workspace) v = 1e30f;
+  Tensor dst(Shape{9});
+  exec.forward(src, dst, pool);
+  EXPECT_EQ(std::memcmp(dst.data(), want.data(), 9 * sizeof(float)), 0);
+
+  exec.state.workspace = exec.state.workspace.first(need - 1);
+  EXPECT_THROW(exec.forward(src, dst, pool), std::logic_error);
 }
 
 TEST(Dense, FlopAndParamCounts) {

@@ -1,18 +1,19 @@
 // Zero-copy data path integration tests (DESIGN.md §2.7).
 //
-// Three invariants pin the mmap + pooled-buffer pipeline against the
+// Three invariants pin the mmap + ring-recycled pipeline against the
 // seed ifstream + allocate-per-sample path:
 //
 //  1. Corruption safety: any single bit flip or truncation of a shard
 //     surfaces as CorruptRecordError in *both* reader modes — never a
 //     silent wrong sample, never a giant allocation.
-//  2. Bounded allocation: with pooling on, cumulative pool misses per
-//     pipeline never exceed the provable in-flight bound
+//  2. Bounded allocation: the reads that start from an empty buffer
+//     never exceed the provable in-flight bound
 //     queue_capacity + io_threads + 1 (ring slots + one buffer per
 //     producer + the consumer-held buffer), across any number of
-//     epochs.
+//     epochs, in a bare Pipeline and in the Trainer; after the first
+//     epoch, an epoch's first read never starts from one.
 //  3. Identity: delivered bytes — and therefore the whole training
-//     trajectory — are bitwise identical at every io_threads × pool ×
+//     trajectory — are bitwise identical at every io_threads ×
 //     reader-mode combination.
 #include <gtest/gtest.h>
 
@@ -20,7 +21,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <mutex>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/dataset_gen.hpp"
@@ -30,7 +34,6 @@
 #include "data/dataset.hpp"
 #include "data/pipeline.hpp"
 #include "data/sample.hpp"
-#include "obs/metrics.hpp"
 #include "runtime/rng.hpp"
 #include "tensor/tensor_ops.hpp"
 
@@ -169,77 +172,142 @@ TEST(CfrecordFuzz, TruncationsReadCleanlyOnlyAtRecordBoundaries) {
 }
 
 // ---------------------------------------------------------------------
-// SamplePool steady state.
+// Buffer recycling through the ring.
 
-double pool_allocs() {
-  return obs::Registry::global().gauge("data/pipeline/pool_allocs").value();
-}
-double pool_hits() {
-  return obs::Registry::global().gauge("data/pipeline/pool_hits").value();
-}
+/// An in-memory source whose readers record the reads handed an empty
+/// Sample: each one allocates a fresh volume buffer.
+class MissCountingSource final : public SampleSource {
+ public:
+  explicit MissCountingSource(std::vector<Sample> samples)
+      : inner_(std::move(samples)) {}
 
-TEST(PipelinePool, SteadyStateAllocationsStayWithinInFlightBound) {
+  std::size_t size() const override { return inner_.size(); }
+  std::unique_ptr<SampleReader> make_reader() const override {
+    return std::make_unique<Reader>(inner_.make_reader(), *this);
+  }
+  std::size_t misses() const {
+    const std::lock_guard lock(mutex_);
+    return missed_.size();
+  }
+  /// The indices read into an empty Sample since the last call.
+  std::vector<std::size_t> take_missed() {
+    const std::lock_guard lock(mutex_);
+    return std::exchange(missed_, {});
+  }
+
+ private:
+  class Reader final : public SampleReader {
+   public:
+    Reader(std::unique_ptr<SampleReader> inner,
+           const MissCountingSource& source)
+        : inner_(std::move(inner)), source_(source) {}
+    Sample get(std::size_t index) override { return inner_->get(index); }
+    void get_into(std::size_t index, Sample& out) override {
+      if (out.volume.empty()) {
+        const std::lock_guard lock(source_.mutex_);
+        source_.missed_.push_back(index);
+      }
+      inner_->get_into(index, out);
+    }
+
+   private:
+    std::unique_ptr<SampleReader> inner_;
+    const MissCountingSource& source_;
+  };
+
+  InMemorySource inner_;
+  mutable std::mutex mutex_;
+  mutable std::vector<std::size_t> missed_;
+};
+
+/// Runs `epochs` unshuffled epochs over `count` samples, reusing one
+/// Sample across every next() call, and returns each epoch's missed
+/// indices. An epoch's reads all finish before its last next() returns,
+/// so none is charged to the wrong epoch.
+std::vector<std::vector<std::size_t>> missed_per_epoch(
+    std::size_t count, std::size_t queue_capacity, std::size_t io_threads,
+    int epochs) {
   std::vector<Sample> samples;
-  for (int i = 0; i < 24; ++i) samples.push_back(make_sample(300 + i));
-  InMemorySource source(std::move(samples));
-
+  for (std::size_t i = 0; i < count; ++i) {
+    samples.push_back(make_sample(300 + i));
+  }
+  MissCountingSource source(std::move(samples));
   PipelineConfig config;
-  config.queue_capacity = 4;
-  config.io_threads = 2;
-  config.pool = true;
+  config.queue_capacity = queue_capacity;
+  config.io_threads = io_threads;
   config.metric_prefix = "data/pipeline/test_pool";
   Pipeline pipeline(source, config);
 
-  // Peak concurrent buffer demand: one Sample per ring slot, one in
-  // each producer's hands, one held by the consumer. Pool misses are
-  // only possible while that working set is still being built, so the
-  // cumulative miss count is bounded by it — across *any* number of
-  // epochs.
-  const double bound = static_cast<double>(config.queue_capacity +
-                                           config.io_threads + 1);
-  const double allocs_before = pool_allocs();
-  const double hits_before = pool_hits();
-
-  std::vector<std::size_t> indices(source.size());
-  for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
-  Sample sample;  // one buffer reused across every next() call
-  std::size_t delivered = 0;
-  const int epochs = 6;
+  std::vector<std::size_t> indices(count);
+  for (std::size_t i = 0; i < count; ++i) indices[i] = i;
+  Sample sample;
+  std::vector<std::vector<std::size_t>> missed;
   for (int epoch = 0; epoch < epochs; ++epoch) {
     pipeline.start_epoch(indices);
+    std::size_t delivered = 0;
     while (pipeline.next(sample)) ++delivered;
+    EXPECT_EQ(delivered, count);
+    missed.push_back(source.take_missed());
   }
-  EXPECT_EQ(delivered, indices.size() * epochs);
-  EXPECT_LE(pool_allocs() - allocs_before, bound);
-  // Nearly every acquire after warm-up is a recycle.
-  EXPECT_GT(pool_hits() - hits_before,
-            static_cast<double>(indices.size() * (epochs - 1)));
+  return missed;
 }
 
-TEST(PipelinePool, DisabledPoolLeavesGaugesUntouched) {
-  std::vector<Sample> samples;
-  for (int i = 0; i < 8; ++i) samples.push_back(make_sample(400 + i));
-  InMemorySource source(std::move(samples));
+std::size_t total_misses(const std::vector<std::vector<std::size_t>>& e) {
+  std::size_t total = 0;
+  for (const auto& missed : e) total += missed.size();
+  return total;
+}
 
-  PipelineConfig config;
-  config.queue_capacity = 4;
-  config.io_threads = 2;
-  config.pool = false;
-  config.metric_prefix = "data/pipeline/test_nopool";
-  Pipeline pipeline(source, config);
+TEST(PipelinePool, SteadyStateAllocationsStayWithinInFlightBound) {
+  // Peak concurrent buffer demand: one Sample per ring slot, one in
+  // each producer's hands, one held by the consumer. Misses are only
+  // possible while that working set is still being built, so the
+  // cumulative miss count is bounded by it — across *any* number of
+  // epochs.
+  const std::size_t capacity = 4;
+  const std::size_t io_threads = 2;
+  EXPECT_LE(total_misses(missed_per_epoch(24, capacity, io_threads, 6)),
+            capacity + io_threads + 1);
 
-  const double allocs_before = pool_allocs();
-  const double hits_before = pool_hits();
-  std::vector<std::size_t> indices(source.size());
-  for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
-  Sample sample;
-  for (int epoch = 0; epoch < 3; ++epoch) {
-    pipeline.start_epoch(indices);
-    while (pipeline.next(sample)) {
-    }
+  // Epochs shorter than the ring fill only their own slots, so the
+  // working set is 2 + 1 + 1 and the first epoch misses on every read.
+  // The consumer's returns are parked in slots the next epoch deposits
+  // into only after its reads; the producer takes one of them, so no
+  // later epoch's first read (the one the consumer waits for)
+  // allocates.
+  const auto missed = missed_per_epoch(2, 8, 1, 6);
+  EXPECT_EQ(missed[0].size(), 2u);
+  EXPECT_LE(total_misses(missed), 2u + 1 + 1);
+  for (std::size_t epoch = 1; epoch < missed.size(); ++epoch) {
+    EXPECT_EQ(std::count(missed[epoch].begin(), missed[epoch].end(), 0u), 0)
+        << "the first read of epoch " << epoch + 1 << " allocated";
   }
-  EXPECT_EQ(pool_allocs(), allocs_before);
-  EXPECT_EQ(pool_hits(), hits_before);
+}
+
+TEST(PipelinePool, TrainerStaysWithinInFlightBoundAcrossEpochs) {
+  std::vector<Sample> train_samples;
+  std::vector<Sample> val_samples;
+  for (int i = 0; i < 4; ++i) {
+    train_samples.push_back(make_sample(700 + i, 8));
+  }
+  for (int i = 0; i < 2; ++i) val_samples.push_back(make_sample(800 + i, 8));
+  MissCountingSource train(std::move(train_samples));
+  MissCountingSource val(std::move(val_samples));
+
+  core::TrainerConfig config;
+  config.nranks = 1;
+  config.epochs = 8;
+  config.pipeline.queue_capacity = 2;
+  config.pipeline.io_threads = 1;
+  core::Trainer trainer(core::cosmoflow_scaled(8), train, val, config);
+  trainer.run();
+
+  // The Trainer's one Sample carries buffers between its train and
+  // validation pipelines, so neither gains an empty buffer per epoch.
+  const std::size_t bound =
+      config.pipeline.queue_capacity + config.pipeline.io_threads + 1;
+  EXPECT_LE(train.misses(), bound);
+  EXPECT_LE(val.misses(), bound);
 }
 
 // ---------------------------------------------------------------------
@@ -265,34 +333,31 @@ TEST(DataPath, BytesIdenticalAcrossMmapPoolAndThreadCombos) {
   for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
 
   for (const ReaderMode mode : {ReaderMode::kAuto, ReaderMode::kStream}) {
-    for (const bool pool : {true, false}) {
-      for (const std::size_t io_threads : {std::size_t{1}, std::size_t{3}}) {
-        CfrecordSource source(paths, mode);
-        PipelineConfig config;
-        config.queue_capacity = 4;
-        config.io_threads = io_threads;
-        config.pool = pool;
-        config.metric_prefix = "data/pipeline/test_combo";
-        Pipeline pipeline(source, config);
-        pipeline.start_epoch(indices);
-        Sample sample;
-        std::size_t i = 0;
-        while (pipeline.next(sample)) {
-          ASSERT_LT(i, reference.size());
-          const Sample& want = reference[i];
-          ASSERT_EQ(sample.volume.shape(), want.volume.shape());
-          EXPECT_EQ(std::memcmp(sample.volume.data(), want.volume.data(),
-                                sample.volume.size() * sizeof(float)),
-                    0)
-              << "sample " << i << " mode " << static_cast<int>(mode)
-              << " pool " << pool << " io_threads " << io_threads;
-          EXPECT_EQ(std::memcmp(sample.target.data(), want.target.data(),
-                                sample.target.size() * sizeof(float)),
-                    0);
-          ++i;
-        }
-        EXPECT_EQ(i, reference.size());
+    for (const std::size_t io_threads : {std::size_t{1}, std::size_t{3}}) {
+      CfrecordSource source(paths, mode);
+      PipelineConfig config;
+      config.queue_capacity = 4;
+      config.io_threads = io_threads;
+      config.metric_prefix = "data/pipeline/test_combo";
+      Pipeline pipeline(source, config);
+      pipeline.start_epoch(indices);
+      Sample sample;
+      std::size_t i = 0;
+      while (pipeline.next(sample)) {
+        ASSERT_LT(i, reference.size());
+        const Sample& want = reference[i];
+        ASSERT_EQ(sample.volume.shape(), want.volume.shape());
+        EXPECT_EQ(std::memcmp(sample.volume.data(), want.volume.data(),
+                              sample.volume.size() * sizeof(float)),
+                  0)
+            << "sample " << i << " mode " << static_cast<int>(mode)
+            << " io_threads " << io_threads;
+        EXPECT_EQ(std::memcmp(sample.target.data(), want.target.data(),
+                              sample.target.size() * sizeof(float)),
+                  0);
+        ++i;
       }
+      EXPECT_EQ(i, reference.size());
     }
   }
 }
@@ -319,24 +384,21 @@ TEST(DataPath, TrainerTrajectoryBitwiseAcrossDataPathConfigs) {
   const auto val_paths = write_shards(dataset.val, dir.str(), "val",
                                       /*samples_per_shard=*/16, /*seed=*/4);
 
-  const auto run = [&](ReaderMode mode, bool pool) {
+  const auto run = [&](ReaderMode mode) {
     CfrecordSource train(train_paths, mode);
     CfrecordSource val(val_paths, mode);
     core::TrainerConfig config;
     config.nranks = 2;
     config.epochs = 2;
     config.pipeline.io_threads = 2;
-    config.pipeline.pool = pool;
     core::Trainer trainer(core::cosmoflow_scaled(8), train, val, config);
     const auto metrics = trainer.run();
     return std::pair{metrics.back().train_loss, metrics.back().val_loss};
   };
 
-  const auto baseline = run(ReaderMode::kStream, false);  // seed path
+  const auto baseline = run(ReaderMode::kStream);
   EXPECT_TRUE(std::isfinite(baseline.first));
-  EXPECT_EQ(run(ReaderMode::kAuto, true), baseline);
-  EXPECT_EQ(run(ReaderMode::kAuto, false), baseline);
-  EXPECT_EQ(run(ReaderMode::kStream, true), baseline);
+  EXPECT_EQ(run(ReaderMode::kAuto), baseline);
 }
 
 }  // namespace
