@@ -3,24 +3,23 @@
 // passes of the canonical 128^3 network, batch size 1.
 //
 // The paper measures a 68-core KNL node (AVX-512, 535 Gflop/s whole-
-// net); this machine is a single AVX-512 core, so absolute times are
-// larger — the comparison targets are the *ratios*: conv2 dominates,
-// the last four convs are cheap, early layers run much faster than the
-// tail (channel-starved) layers.
+// net); this runs on the default thread pool (COSMOFLOW_NUM_THREADS,
+// else every hardware thread), so absolute times are larger — the
+// comparison targets are the *ratios*: conv2 dominates, the last four
+// convs are cheap, early layers run much faster than the tail
+// (channel-starved) layers.
 //
-//   ./bench_table1_conv_layers [--iters=3]
+//   ./bench_table1_conv_layers [--iters=N]   (N >= 1, default 3)
 //
-// With telemetry compiled in (the default), per-pass times come from
-// the cf::obs trace spans the layers emit; with COSMOFLOW_TELEMETRY=OFF
-// the table falls back to the per-layer profile timers.
+// Per-pass times are the context's profile rows (ExecContext::
+// profiles()), the same measurement the `{layer}/fwd`, `/bww` and
+// `/bwd_data` trace spans carry. conv1 reads the graph input, so it has
+// no data gradient: its Bwd column reads 0 (the paper's "–").
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <map>
-#include <string>
-#include <utility>
 
 #include "core/topology.hpp"
-#include "obs/telemetry.hpp"
 #include "runtime/timer.hpp"
 #include "tensor/tensor_ops.hpp"
 
@@ -32,15 +31,20 @@ int main(int argc, char** argv) {
       iters = std::atoi(argv[i] + 8);
     }
   }
+  if (iters < 1) {
+    std::fprintf(stderr,
+                 "usage: bench_table1_conv_layers [--iters=N] (N >= 1)\n");
+    return 2;
+  }
 
+  runtime::ThreadPool pool;
   std::printf("=== bench_table1_conv_layers: Table I, canonical 128^3 "
               "network ===\n");
-  std::printf("(%d timed iterations after one warm-up; single core)\n\n",
-              iters);
+  std::printf("(%d timed iterations after one warm-up; %zu threads)\n\n",
+              iters, pool.num_threads());
 
   dnn::Network net = core::build_network(core::cosmoflow_128(), 7);
   dnn::ExecContext ctx = net.make_context(dnn::ExecMode::kTraining);
-  runtime::ThreadPool pool;
   tensor::Tensor input(net.input_shape());
   runtime::Rng rng(7);
   tensor::fill_normal(input, rng, 0.0f, 1.0f);
@@ -52,9 +56,6 @@ int main(int argc, char** argv) {
   ctx.zero_grads();
   ctx.backward(dloss, pool);
   ctx.reset_profiles();
-#if COSMOFLOW_TELEMETRY_ENABLED
-  obs::Tracer::global().clear();
-#endif
 
   const runtime::Stopwatch watch;
   for (int it = 0; it < iters; ++it) {
@@ -64,43 +65,14 @@ int main(int argc, char** argv) {
   }
   const double step = watch.elapsed_seconds() / iters;
 
-#if COSMOFLOW_TELEMETRY_ENABLED
-  // Regenerate the table from the trace: mean duration of the
-  // `{layer}/fwd`, `{layer}/bww` and `{layer}/bwd_data` spans.
-  std::map<std::string, std::pair<double, int>> span_ms;
-  for (const obs::TraceEvent& event : obs::Tracer::global().snapshot()) {
-    auto& [total, count] = span_ms[event.name];
-    total += static_cast<double>(event.dur_ns) / 1e6;
-    ++count;
-  }
-  const auto span_mean_ms = [&](const std::string& name) {
-    const auto it = span_ms.find(name);
-    return it != span_ms.end() && it->second.second > 0
-               ? it->second.first / it->second.second
-               : 0.0;
-  };
-  std::printf("(per-pass times aggregated from cf::obs trace spans)\n");
-#else
-  std::printf("(telemetry off: per-pass times from layer profile "
-              "timers)\n");
-#endif
-
   std::printf("%-8s | %8s %8s %8s | %8s %8s %8s\n", "Layer", "Fwd ms",
               "Bww ms", "Bwd ms", "Fwd GF/s", "Bww GF/s", "Bwd GF/s");
   double conv_total_ms = 0.0;
   for (const dnn::LayerProfile& profile : ctx.profiles()) {
     if (profile.kind != "conv") continue;
-#if COSMOFLOW_TELEMETRY_ENABLED
-    const double fwd_ms = span_mean_ms(profile.name + "/fwd");
-    const double bww_ms = span_mean_ms(profile.name + "/bww");
-    const double bwd_ms = span_mean_ms(profile.name + "/bwd_data");
-#else
     const double fwd_ms = profile.fwd.mean() * 1e3;
     const double bww_ms = profile.bwd_weights.mean() * 1e3;
-    const double bwd_ms = profile.bwd_data.count() > 0
-                              ? profile.bwd_data.mean() * 1e3
-                              : 0.0;
-#endif
+    const double bwd_ms = profile.bwd_data.mean() * 1e3;
     const auto rate = [](double flops, double ms) {
       return ms > 0.0 ? flops / (ms * 1e-3) / 1e9 : 0.0;
     };
@@ -115,8 +87,9 @@ int main(int argc, char** argv) {
   const double gflop =
       static_cast<double>(net.flops(true).total()) / 1e9;
   std::printf("\nconv total: %.1f ms; full fwd+bwd step: %.1f ms "
-              "(%.1f Gflop -> %.1f Gflop/s sustained, single core)\n",
-              conv_total_ms, step * 1e3, gflop, gflop / step);
+              "(%.1f Gflop -> %.1f Gflop/s sustained, %zu threads)\n",
+              conv_total_ms, step * 1e3, gflop, gflop / step,
+              pool.num_threads());
   std::printf("paper (68-core KNL): conv total 30.3 ms, step 145 ms, "
               "535 Gflop/s/node\n");
   std::printf("shape targets: conv2 dominates every pass; conv4-7 "

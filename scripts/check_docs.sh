@@ -20,7 +20,11 @@
 #   6. likewise for the stock-topology selector: a binary parsing
 #      --preset= must be named in EXPERIMENTS.md alongside
 #      documentation of that flag, so the preset names (cosmoflow-128
-#      et al.) stay discoverable.
+#      et al.) stay discoverable;
+#   7. one timing site per layer: no file under src/dnn except
+#      exec_context.cpp may contain CF_TRACE_SCOPE, Stopwatch,
+#      ScopedTimer or now_ns, so a kernel cannot start timing itself
+#      apart from the ExecContext dispatch (OBSERVABILITY.md).
 #
 # Usage: check_docs.sh [repo_root]
 set -u
@@ -130,6 +134,16 @@ for src in bench/*.cpp examples/*.cpp; do
          "mentions $name" >&2
     fail=1
   fi
+done
+
+# One timing site: only the ExecContext dispatch reads the clock in
+# src/dnn (its profile rows and trace spans are one measurement).
+timed="$(grep -lE 'CF_TRACE_SCOPE|Stopwatch|ScopedTimer|now_ns' src/dnn/* |
+  grep -v '^src/dnn/exec_context\.cpp$')"
+for file in $timed; do
+  echo "FAIL: $file reads the clock or opens a span; only" \
+       "src/dnn/exec_context.cpp times layers" >&2
+  fail=1
 done
 
 if [ "$fail" -ne 0 ]; then

@@ -131,7 +131,7 @@ class Trainer {
   dnn::Network& network(int rank = 0);
 
   /// Rank r's training execution stream (valid after run()); carries
-  /// the per-layer timers behind breakdown().
+  /// the per-layer profile rows behind breakdown().
   dnn::ExecContext& context(int rank = 0);
 
   /// Forward pass through the rank-0 replica; returns the raw

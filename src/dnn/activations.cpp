@@ -36,9 +36,8 @@ FlopCounts LeakyRelu::flops() const {
   return counts;
 }
 
-void LeakyRelu::forward(Inputs srcs, Tensor& dst, LayerExecState& exec,
+void LeakyRelu::forward(Inputs srcs, Tensor& dst, LayerExecState& /*exec*/,
                         runtime::ThreadPool& pool) const {
-  const runtime::ScopedTimer timer(exec.timers.fwd);
   check_inputs(srcs.size());
   const Tensor& src = *srcs[0];
   if (src.shape() != input_shape() || dst.shape() != output_shape()) {
@@ -57,17 +56,17 @@ void LeakyRelu::forward(Inputs srcs, Tensor& dst, LayerExecState& exec,
                     kSerialWorkLimit);
 }
 
-void LeakyRelu::backward(Inputs srcs, const Tensor& /*dst*/, Tensor& ddst,
-                         InputGrads dsrcs, LayerExecState& exec,
-                         runtime::ThreadPool& pool) const {
+void LeakyRelu::backward_data(Inputs srcs, const Tensor& /*dst*/,
+                              const Tensor& ddst, InputGrads dsrcs,
+                              LayerExecState& /*exec*/,
+                              runtime::ThreadPool& pool) const {
   check_inputs(srcs.size(), dsrcs.size());
   if (dsrcs[0] == nullptr) return;
   const Tensor& src = *srcs[0];
   Tensor& dsrc = *dsrcs[0];
-  const runtime::ScopedTimer timer(exec.timers.bwd_data);
   if (src.shape() != input_shape() || ddst.shape() != output_shape() ||
       dsrc.shape() != input_shape()) {
-    throw std::invalid_argument("LeakyRelu::backward: shape mismatch");
+    throw std::invalid_argument("LeakyRelu::backward_data: shape mismatch");
   }
   const float slope = slope_;
   const float* s = src.data();

@@ -22,9 +22,10 @@ class LeakyRelu final : public Layer {
 
   void forward(Inputs srcs, tensor::Tensor& dst, LayerExecState& exec,
                runtime::ThreadPool& pool) const override;
-  void backward(Inputs srcs, const tensor::Tensor& dst, tensor::Tensor& ddst,
-                InputGrads dsrcs, LayerExecState& exec,
-                runtime::ThreadPool& pool) const override;
+  void backward_data(Inputs srcs, const tensor::Tensor& dst,
+                     const tensor::Tensor& ddst, InputGrads dsrcs,
+                     LayerExecState& exec,
+                     runtime::ThreadPool& pool) const override;
 
   // bf16 pass-through (dnn/forward_rp.cpp) for unfused networks: widen,
   // apply the slope in fp32, narrow. build_network() usually fuses this

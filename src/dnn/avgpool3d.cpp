@@ -52,7 +52,6 @@ FlopCounts AvgPool3d::flops() const {
 
 void AvgPool3d::forward(Inputs srcs, Tensor& dst, LayerExecState& exec,
                         runtime::ThreadPool& pool) const {
-  const runtime::ScopedTimer timer(exec.timers.fwd);
   check_inputs(srcs.size());
   const Tensor& src = *srcs[0];
   if (src.shape() != input_shape() || dst.shape() != output_shape()) {
@@ -97,15 +96,15 @@ void AvgPool3d::forward(Inputs srcs, Tensor& dst, LayerExecState& exec,
       exec.intraop_grain);
 }
 
-void AvgPool3d::backward(Inputs srcs, const Tensor& /*dst*/, Tensor& ddst,
-                         InputGrads dsrcs, LayerExecState& exec,
-                         runtime::ThreadPool& pool) const {
+void AvgPool3d::backward_data(Inputs srcs, const Tensor& /*dst*/,
+                              const Tensor& ddst, InputGrads dsrcs,
+                              LayerExecState& exec,
+                              runtime::ThreadPool& pool) const {
   check_inputs(srcs.size(), dsrcs.size());
   if (dsrcs[0] == nullptr) return;
   Tensor& dsrc = *dsrcs[0];
-  const runtime::ScopedTimer timer(exec.timers.bwd_data);
   if (ddst.shape() != output_shape() || dsrc.shape() != input_shape()) {
-    throw std::invalid_argument("AvgPool3d::backward: shape mismatch");
+    throw std::invalid_argument("AvgPool3d::backward_data: shape mismatch");
   }
   const std::int64_t k = config_.kernel;
   const std::int64_t s = config_.stride;

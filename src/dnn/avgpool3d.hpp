@@ -28,9 +28,10 @@ class AvgPool3d final : public Layer {
 
   void forward(Inputs srcs, tensor::Tensor& dst, LayerExecState& exec,
                runtime::ThreadPool& pool) const override;
-  void backward(Inputs srcs, const tensor::Tensor& dst, tensor::Tensor& ddst,
-                InputGrads dsrcs, LayerExecState& exec,
-                runtime::ThreadPool& pool) const override;
+  void backward_data(Inputs srcs, const tensor::Tensor& dst,
+                     const tensor::Tensor& ddst, InputGrads dsrcs,
+                     LayerExecState& exec,
+                     runtime::ThreadPool& pool) const override;
 
   // bf16 pass-through (dnn/forward_rp.cpp): widen, average in fp32,
   // narrow.

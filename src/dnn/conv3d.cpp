@@ -24,8 +24,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "obs/telemetry.hpp"
-
 #if defined(__AVX512F__)
 #include <immintrin.h>
 #endif
@@ -560,7 +558,6 @@ void Conv3d::stage_padded_src(const Tensor& src, LayerExecState& exec,
 
 void Conv3d::forward(Inputs srcs, Tensor& dst, LayerExecState& exec,
                      runtime::ThreadPool& pool) const {
-  const runtime::ScopedTimer timer(exec.timers.fwd);
   check_inputs(srcs.size());
   const Tensor& src = *srcs[0];
   if (src.shape() != input_shape() || dst.shape() != output_shape()) {
@@ -576,48 +573,49 @@ void Conv3d::forward(Inputs srcs, Tensor& dst, LayerExecState& exec,
   }
 }
 
-void Conv3d::backward(Inputs srcs, const Tensor& dst, Tensor& ddst,
-                      InputGrads dsrcs, LayerExecState& exec,
-                      runtime::ThreadPool& pool) const {
-  check_inputs(srcs.size(), dsrcs.size());
-  const Tensor& src = *srcs[0];
-  if (src.shape() != input_shape() || ddst.shape() != output_shape()) {
-    throw std::invalid_argument("Conv3d::backward: shape mismatch");
+void Conv3d::backward_weights(Inputs srcs, const Tensor& dst, Tensor& ddst,
+                              LayerExecState& exec,
+                              runtime::ThreadPool& pool) const {
+  check_inputs(srcs.size());
+  if (srcs[0]->shape() != input_shape() || ddst.shape() != output_shape()) {
+    throw std::invalid_argument("Conv3d::backward_weights: shape mismatch");
   }
   if (exec.grads.size() != 2) {
-    throw std::logic_error("Conv3d::backward: exec state has no grads");
+    throw std::logic_error(
+        "Conv3d::backward_weights: exec state has no grads");
   }
-  {
-    CF_TRACE_SCOPE(span_label_bww().c_str(), "conv");
-    const runtime::ScopedTimer timer(exec.timers.bwd_weights);
-    if (fused_) {
-      if (dst.shape() != output_shape()) {
-        throw std::invalid_argument("Conv3d::backward: dst shape mismatch");
-      }
-      // One sweep masks ddst with the LeakyReLU derivative *in place*
-      // (ddst is consumed — Layer contract) and accumulates the bias
-      // gradient from the already-masked values.
-      mask_bias_grad_pass(dst, ddst, exec.grads[1], pool,
-                          exec.intraop_grain);
-    } else {
-      bias_grad_pass(ddst, exec.grads[1], pool, exec.intraop_grain);
+  if (fused_) {
+    if (dst.shape() != output_shape()) {
+      throw std::invalid_argument(
+          "Conv3d::backward_weights: dst shape mismatch");
     }
-    // The padded source copy in the stream's workspace is still valid
-    // from this stream's forward().
-    if (plain_input_) {
-      backward_weights_plain_src(ddst, exec.workspace.data(),
-                                 exec.grads[0], pool, exec.intraop_grain);
-    } else {
-      backward_weights_blocked(ddst, exec.workspace.data(), exec.grads[0],
+    // One sweep masks ddst with the LeakyReLU derivative *in place*
+    // (ddst is consumed — Layer contract) and accumulates the bias
+    // gradient from the already-masked values.
+    mask_bias_grad_pass(dst, ddst, exec.grads[1], pool, exec.intraop_grain);
+  } else {
+    bias_grad_pass(ddst, exec.grads[1], pool, exec.intraop_grain);
+  }
+  // The padded source copy in the stream's workspace is still valid
+  // from this stream's forward().
+  if (plain_input_) {
+    backward_weights_plain_src(ddst, exec.workspace.data(), exec.grads[0],
                                pool, exec.intraop_grain);
-    }
+  } else {
+    backward_weights_blocked(ddst, exec.workspace.data(), exec.grads[0],
+                             pool, exec.intraop_grain);
   }
+}
+
+void Conv3d::backward_data(Inputs srcs, const Tensor& /*dst*/,
+                           const Tensor& ddst, InputGrads dsrcs,
+                           LayerExecState& exec,
+                           runtime::ThreadPool& pool) const {
+  check_inputs(srcs.size(), dsrcs.size());
   Tensor* dsrc = dsrcs[0];
   if (dsrc == nullptr) return;
-  CF_TRACE_SCOPE(span_label_bwd_data().c_str(), "conv");
-  const runtime::ScopedTimer timer(exec.timers.bwd_data);
-  if (dsrc->shape() != input_shape()) {
-    throw std::invalid_argument("Conv3d::backward: dsrc shape mismatch");
+  if (ddst.shape() != output_shape() || dsrc->shape() != input_shape()) {
+    throw std::invalid_argument("Conv3d::backward_data: shape mismatch");
   }
   if (plain_input_) {
     backward_data_plain_src(ddst, *dsrc, pool);

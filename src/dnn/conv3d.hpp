@@ -61,9 +61,15 @@ class Conv3d final : public Layer {
 
   void forward(Inputs srcs, tensor::Tensor& dst, LayerExecState& exec,
                runtime::ThreadPool& pool) const override;
-  void backward(Inputs srcs, const tensor::Tensor& dst, tensor::Tensor& ddst,
-                InputGrads dsrcs, LayerExecState& exec,
-                runtime::ThreadPool& pool) const override;
+  /// Masks ddst in place when fused, then accumulates the bias and
+  /// weight gradients from it.
+  void backward_weights(Inputs srcs, const tensor::Tensor& dst,
+                        tensor::Tensor& ddst, LayerExecState& exec,
+                        runtime::ThreadPool& pool) const override;
+  void backward_data(Inputs srcs, const tensor::Tensor& dst,
+                     const tensor::Tensor& ddst, InputGrads dsrcs,
+                     LayerExecState& exec,
+                     runtime::ThreadPool& pool) const override;
 
   // Reduced-precision inference forward (dnn/forward_rp.cpp): bf16
   // weights+activations with fp32 accumulation. The fp32 kernels above

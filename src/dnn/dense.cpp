@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "obs/telemetry.hpp"
 #include "tensor/tensor_ops.hpp"
 
 namespace cf::dnn {
@@ -65,6 +64,14 @@ namespace {
 // Below this many multiply-adds the dispatch/wake cost of the pool
 // exceeds the loop itself; run on the caller (same body, same result).
 constexpr std::int64_t kSerialWorkLimit = 4096;
+
+/// Grain of the two backward loops over the `in` inputs.
+std::size_t backward_grain(std::int64_t in, std::int64_t out,
+                           std::size_t intraop_grain) {
+  return std::max<std::size_t>(
+      in * out <= kSerialWorkLimit ? static_cast<std::size_t>(in) : 1,
+      intraop_grain);
+}
 }  // namespace
 
 // The forward pass splits the reduction over the input dimension into a
@@ -99,7 +106,6 @@ void Dense::init_xavier(runtime::Rng& rng) {
 
 void Dense::forward(Inputs srcs, Tensor& dst, LayerExecState& exec,
                     runtime::ThreadPool& pool) const {
-  const runtime::ScopedTimer timer(exec.timers.fwd);
   check_inputs(srcs.size());
   const Tensor& src = *srcs[0];
   if (src.shape() != input_shape() || dst.shape() != output_shape()) {
@@ -145,57 +151,57 @@ void Dense::forward(Inputs srcs, Tensor& dst, LayerExecState& exec,
   }
 }
 
-void Dense::backward(Inputs srcs, const Tensor& dst, Tensor& ddst,
-                     InputGrads dsrcs, LayerExecState& exec,
-                     runtime::ThreadPool& pool) const {
-  check_inputs(srcs.size(), dsrcs.size());
+void Dense::backward_weights(Inputs srcs, const Tensor& dst, Tensor& ddst,
+                             LayerExecState& exec,
+                             runtime::ThreadPool& pool) const {
+  check_inputs(srcs.size());
   const Tensor& src = *srcs[0];
   if (src.shape() != input_shape() || ddst.shape() != output_shape()) {
-    throw std::invalid_argument("Dense::backward: shape mismatch");
+    throw std::invalid_argument("Dense::backward_weights: shape mismatch");
   }
   if (exec.grads.size() != 2) {
-    throw std::logic_error("Dense::backward: exec state has no grads");
+    throw std::logic_error("Dense::backward_weights: exec state has no grads");
   }
   Tensor& weight_grad = exec.grads[0];
   Tensor& bias_grad = exec.grads[1];
-  const std::size_t grain = std::max<std::size_t>(
-      in_ * out_ <= kSerialWorkLimit ? static_cast<std::size_t>(in_) : 1,
-      exec.intraop_grain);
-  const float* d = ddst.data();
-  {
-    CF_TRACE_SCOPE(span_label_bww().c_str(), "dense");
-    const runtime::ScopedTimer timer(exec.timers.bwd_weights);
-    if (fused_) {
-      if (dst.shape() != output_shape()) {
-        throw std::invalid_argument("Dense::backward: dst shape mismatch");
-      }
-      // Mask ddst in place — it is consumed by this layer's backward
-      // (the Layer contract), so no side buffer is needed.
-      float* md = ddst.data();
-      const float* y = dst.data();
-      for (std::int64_t o = 0; o < out_; ++o) {
-        md[o] = y[o] > 0.0f ? md[o] : slope_ * md[o];
-      }
+  if (fused_) {
+    if (dst.shape() != output_shape()) {
+      throw std::invalid_argument(
+          "Dense::backward_weights: dst shape mismatch");
     }
-    tensor::axpy(1.0f, ddst.values(), bias_grad.values());
-    pool.parallel_for(
-        static_cast<std::size_t>(in_),
-        [&](std::size_t begin, std::size_t end, std::size_t) {
-          for (std::size_t i = begin; i < end; ++i) {
-            const float sv = src[i];
-            float* grow = weight_grad.data() + i * out_;
-            for (std::int64_t o = 0; o < out_; ++o) grow[o] += d[o] * sv;
-          }
-        },
-        grain);
+    // Mask ddst in place — it is consumed by this layer's backward
+    // (the Layer contract), so no side buffer is needed.
+    float* md = ddst.data();
+    const float* y = dst.data();
+    for (std::int64_t o = 0; o < out_; ++o) {
+      md[o] = y[o] > 0.0f ? md[o] : slope_ * md[o];
+    }
   }
+  tensor::axpy(1.0f, ddst.values(), bias_grad.values());
+  const float* d = ddst.data();
+  pool.parallel_for(
+      static_cast<std::size_t>(in_),
+      [&](std::size_t begin, std::size_t end, std::size_t) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const float sv = src[i];
+          float* grow = weight_grad.data() + i * out_;
+          for (std::int64_t o = 0; o < out_; ++o) grow[o] += d[o] * sv;
+        }
+      },
+      backward_grain(in_, out_, exec.intraop_grain));
+}
+
+void Dense::backward_data(Inputs srcs, const Tensor& /*dst*/,
+                          const Tensor& ddst, InputGrads dsrcs,
+                          LayerExecState& exec,
+                          runtime::ThreadPool& pool) const {
+  check_inputs(srcs.size(), dsrcs.size());
   Tensor* dsrc = dsrcs[0];
   if (dsrc == nullptr) return;
-  CF_TRACE_SCOPE(span_label_bwd_data().c_str(), "dense");
-  const runtime::ScopedTimer timer(exec.timers.bwd_data);
-  if (dsrc->shape() != input_shape()) {
-    throw std::invalid_argument("Dense::backward: dsrc shape mismatch");
+  if (ddst.shape() != output_shape() || dsrc->shape() != input_shape()) {
+    throw std::invalid_argument("Dense::backward_data: shape mismatch");
   }
+  const float* d = ddst.data();
   float* ds = dsrc->data();
   pool.parallel_for(
       static_cast<std::size_t>(in_),
@@ -207,7 +213,7 @@ void Dense::backward(Inputs srcs, const Tensor& dst, Tensor& ddst,
           ds[i] = acc;
         }
       },
-      grain);
+      backward_grain(in_, out_, exec.intraop_grain));
 }
 
 }  // namespace cf::dnn

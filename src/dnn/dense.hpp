@@ -26,9 +26,15 @@ class Dense final : public Layer {
   /// out_features per chunk, plus one fp32 output row for
   /// forward_bf16. Zeroed on every call, so the region may be shared.
   std::size_t forward_workspace_floats() const override;
-  void backward(Inputs srcs, const tensor::Tensor& dst, tensor::Tensor& ddst,
-                InputGrads dsrcs, LayerExecState& exec,
-                runtime::ThreadPool& pool) const override;
+  /// Masks ddst in place when fused, then accumulates the bias and
+  /// weight gradients from it.
+  void backward_weights(Inputs srcs, const tensor::Tensor& dst,
+                        tensor::Tensor& ddst, LayerExecState& exec,
+                        runtime::ThreadPool& pool) const override;
+  void backward_data(Inputs srcs, const tensor::Tensor& dst,
+                     const tensor::Tensor& ddst, InputGrads dsrcs,
+                     LayerExecState& exec,
+                     runtime::ThreadPool& pool) const override;
 
   // Reduced-precision inference forward (dnn/forward_rp.cpp); the fp32
   // chunked reduction above is untouched.

@@ -1,13 +1,13 @@
 #include "dnn/exec_context.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 
 #include "dnn/cost_model.hpp"
 #include "dnn/network.hpp"
-#include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 
 namespace cf::dnn {
@@ -33,6 +33,22 @@ void accumulate_into(Tensor& dst, const Tensor& src,
       kSerialWorkLimit);
 }
 
+/// Closes one timed pass of a node: adds [start_ns, now) to `stats`
+/// and, when telemetry is compiled in and the tracer is on, records the
+/// same interval as the span `label` — the profile row and the trace
+/// hold one measurement.
+void end_pass(runtime::TimeStats& stats, const std::string& label,
+              const std::string& category, std::uint64_t start_ns) {
+  const std::uint64_t dur_ns = obs::Tracer::now_ns() - start_ns;
+  stats.add(1e-9 * static_cast<double>(dur_ns));
+  if constexpr (obs::kTelemetryEnabled) {
+    obs::Tracer& tracer = obs::Tracer::global();
+    if (tracer.enabled()) {
+      tracer.record(label.c_str(), category.c_str(), start_ns, dur_ns);
+    }
+  }
+}
+
 }  // namespace
 
 ExecContext::ExecContext(Network& net, ExecMode mode, Precision precision)
@@ -42,8 +58,17 @@ ExecContext::ExecContext(Network& net, ExecMode mode, Precision precision)
         "ExecContext: training contexts are fp32-only (DESIGN.md §2.5)");
   }
   exec_.resize(net.layer_count());
+  profiles_.reserve(net.layer_count());
   std::size_t max_arity = 0;
   for (std::size_t i = 0; i < net.layer_count(); ++i) {
+    const Layer& layer = net.layer(i);
+    LayerProfile& row = profiles_.emplace_back();
+    row.name = layer.name();
+    row.kind = layer.kind();
+    row.flops = layer.flops();
+    row.fwd_label = row.name + "/fwd";
+    row.bww_label = row.name + "/bww";
+    row.bwd_data_label = row.name + "/bwd_data";
     max_arity = std::max(max_arity, net.graph().inputs(i).size());
   }
   src_ptrs_.reserve(max_arity);
@@ -57,12 +82,6 @@ ExecContext::ExecContext(Network& net, ExecMode mode, Precision precision)
     input_ = Tensor(net.input_shape());
     build_inference_buffers();
   }
-  auto& reg = obs::Registry::global();
-  reg.gauge("dnn/ctx/mode").set(mode_ == ExecMode::kInference ? 1.0 : 0.0);
-  reg.gauge("dnn/ctx/precision").set(static_cast<double>(precision_));
-  reg.gauge("dnn/ctx/activation_bytes")
-      .set(static_cast<double>(activation_bytes()));
-  reg.gauge("dnn/ctx/total_bytes").set(static_cast<double>(total_bytes()));
 }
 
 void ExecContext::apply_intraop(const IntraopPlan& plan) {
@@ -72,16 +91,9 @@ void ExecContext::apply_intraop(const IntraopPlan& plan) {
         std::to_string(plan.grains.size()) + " grains for " +
         std::to_string(exec_.size()) + " layers");
   }
-  std::size_t max_grain = 1;
   for (std::size_t i = 0; i < exec_.size(); ++i) {
     exec_[i].intraop_grain = std::max<std::size_t>(1, plan.grains[i]);
-    max_grain = std::max(max_grain, exec_[i].intraop_grain);
   }
-  auto& reg = obs::Registry::global();
-  reg.gauge("dnn/intraop/threads")
-      .set(static_cast<double>(plan.threads_per_stream));
-  reg.gauge("dnn/intraop/grain").set(static_cast<double>(max_grain));
-  reg.gauge("dnn/intraop/par_efficiency").set(plan.predicted_efficiency);
 }
 
 void ExecContext::build_training_buffers() {
@@ -335,13 +347,14 @@ const Tensor& ExecContext::run_forward(const Tensor& staged,
   CF_TRACE_SCOPE("net/forward", "dnn");
   const Graph& graph = net_->graph();
   for (std::size_t i = 0; i < net_->layer_count(); ++i) {
-    const Layer& layer = net_->layer(i);
-    CF_TRACE_SCOPE(layer.span_label_fwd().c_str(), layer.kind().c_str());
     src_ptrs_.clear();
     for (NodeId p : graph.inputs(i)) {
       src_ptrs_.push_back(p == kGraphInput ? &staged : &activations_[p]);
     }
-    layer.forward(src_ptrs_, activations_[i], exec_[i], pool);
+    LayerProfile& row = profiles_[i];
+    const std::uint64_t start_ns = obs::Tracer::now_ns();
+    net_->layer(i).forward(src_ptrs_, activations_[i], exec_[i], pool);
+    end_pass(row.fwd, row.fwd_label, row.kind, start_ns);
   }
   forward_done_ = true;
   // A single head hands back its activation directly (the bitwise path
@@ -363,8 +376,6 @@ const Tensor& ExecContext::forward_bf16_path(const Tensor& input,
   const Network::SlotPlan& slots = net_->act_slots();
   bf16_from_f32(input.data(), input16_.data(), input.size());
   for (std::size_t i = 0; i < net_->layer_count(); ++i) {
-    const Layer& layer = net_->layer(i);
-    CF_TRACE_SCOPE(layer.span_label_fwd().c_str(), layer.kind().c_str());
     const std::vector<NodeId>& ins = graph.inputs(i);
     if (ins.size() != 1) {
       // Unreachable in practice: multi-input layers decline kBf16 in
@@ -376,8 +387,11 @@ const Tensor& ExecContext::forward_bf16_path(const Tensor& input,
                             ? input16_.data()
                             : act16_arena_.data() + slots.offsets[ins[0]];
     bf16_t* dst = act16_arena_.data() + slots.offsets[i];
-    layer.forward_bf16(src, dst, net_->bf16_param_segment(i), exec_[i],
-                       pool);
+    LayerProfile& row = profiles_[i];
+    const std::uint64_t start_ns = obs::Tracer::now_ns();
+    net_->layer(i).forward_bf16(src, dst, net_->bf16_param_segment(i),
+                                exec_[i], pool);
+    end_pass(row.fwd, row.fwd_label, row.kind, start_ns);
   }
   for (std::size_t h = 0; h < net_->head_count(); ++h) {
     const NodeId head = net_->head(h);
@@ -422,6 +436,7 @@ void ExecContext::backward(const Tensor& dloss, runtime::ThreadPool& pool,
     std::vector<Tensor>& merges = merge_[i];
     src_ptrs_.clear();
     dsrc_ptrs_.clear();
+    bool needs_data = false;
     for (std::size_t k = 0; k < ins.size(); ++k) {
       const NodeId p = ins[k];
       if (p == kGraphInput) {
@@ -431,12 +446,22 @@ void ExecContext::backward(const Tensor& dloss, runtime::ThreadPool& pool,
       } else {
         src_ptrs_.push_back(&activations_[p]);
         dsrc_ptrs_.push_back(merges[k].empty() ? &diffs_[p] : &merges[k]);
+        needs_data = true;
       }
     }
-    {
-      CF_TRACE_SCOPE(layer.span_label_bwd().c_str(), layer.kind().c_str());
-      layer.backward(src_ptrs_, activations_[i], diffs_[i], dsrc_ptrs_,
-                     exec_[i], pool);
+    LayerProfile& row = profiles_[i];
+    const bool has_params = net_->segment_size(i) > 0;
+    // Bww first: it consumes diffs_[i] (fused layers mask it in place).
+    if (has_params) {
+      const std::uint64_t start_ns = obs::Tracer::now_ns();
+      layer.backward_weights(src_ptrs_, activations_[i], diffs_[i],
+                             exec_[i], pool);
+      end_pass(row.bwd_weights, row.bww_label, row.kind, start_ns);
+    }
+    if (needs_data) {
+      const std::uint64_t start_ns = obs::Tracer::now_ns();
+      layer.backward_data(src_ptrs_, activations_[i], diffs_[i],
+                          dsrc_ptrs_, exec_[i], pool);
       // Fan-in: add each merge contribution into its producer's diff,
       // in edge order. Contributions land in reverse schedule order —
       // deterministic by construction.
@@ -445,8 +470,9 @@ void ExecContext::backward(const Tensor& dloss, runtime::ThreadPool& pool,
           accumulate_into(diffs_[ins[k]], merges[k], pool);
         }
       }
+      end_pass(row.bwd_data, row.bwd_data_label, row.kind, start_ns);
     }
-    if (grad_ready && net_->segment_size(i) > 0) grad_ready(i);
+    if (grad_ready && has_params) grad_ready(i);
   }
 }
 
@@ -495,25 +521,12 @@ void ExecContext::set_grads_from(std::span<const float> in) {
               grad_arena_.size() * sizeof(float));
 }
 
-std::vector<LayerProfile> ExecContext::profiles() const {
-  std::vector<LayerProfile> rows;
-  rows.reserve(net_->layer_count());
-  for (std::size_t i = 0; i < net_->layer_count(); ++i) {
-    const Layer& layer = net_->layer(i);
-    LayerProfile row;
-    row.name = layer.name();
-    row.kind = layer.kind();
-    row.fwd = exec_[i].timers.fwd;
-    row.bwd_data = exec_[i].timers.bwd_data;
-    row.bwd_weights = exec_[i].timers.bwd_weights;
-    row.flops = layer.flops();
-    rows.push_back(row);
-  }
-  return rows;
-}
-
 void ExecContext::reset_profiles() {
-  for (auto& st : exec_) st.timers = LayerTimers{};
+  for (LayerProfile& row : profiles_) {
+    row.fwd = {};
+    row.bwd_data = {};
+    row.bwd_weights = {};
+  }
 }
 
 std::size_t ExecContext::total_bytes() const noexcept {

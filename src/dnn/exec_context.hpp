@@ -6,9 +6,10 @@
 // memory-planner passes. Everything one execution stream mutates lives
 // here instead: the input staging copy, the activation buffers, the
 // slot-colored diff arena, the shared backward scratch, the flat
-// gradient arena, and each node's LayerExecState (timers, forward
-// staging workspace, gradient tensors). N contexts over one Network run
-// forward concurrently against one shared weight copy.
+// gradient arena, each node's LayerExecState (forward staging
+// workspace, gradient tensors) and each node's LayerProfile row. N
+// contexts over one Network run forward concurrently against one
+// shared weight copy.
 //
 // Execution walks the network's schedule (insertion order, topological
 // by construction). Each node reads its producers' activations by edge;
@@ -16,6 +17,13 @@
 // dsrc targets, so this context is the one place fan-in gradient
 // contributions are merged — deterministically, in reverse schedule and
 // edge order (DESIGN.md §2.8).
+//
+// The schedule loop is also the one place a layer is timed (Table I):
+// one pair of tracer clock readings around each node's forward,
+// backward_weights and backward_data (fan-in merges included) feeds
+// that node's profile row and, when telemetry is compiled in and the
+// tracer is on, the matching `{layer}/fwd`, `{layer}/bww` or
+// `{layer}/bwd_data` span — so trace and profile are one measurement.
 //
 // ExecMode picks what gets allocated:
 //  * kTraining — the full set. Buffer placement matches the planner
@@ -89,12 +97,13 @@ class ExecContext {
   /// bitwise-identical to forward(t, pool) with t holding those bytes.
   const tensor::Tensor& forward_staged(runtime::ThreadPool& pool);
 
-  /// Invoked by backward() right after node `i`'s backward pass (its
-  /// bwd_weights included) finishes, i.e. the moment grad_segment(i)
-  /// holds this step's final local gradients. Nodes are visited in
-  /// reverse schedule order, so segments become ready tail-first and
-  /// contiguously — callers can coalesce them into buckets and start
-  /// communicating while earlier nodes are still computing.
+  /// Invoked by backward() right after node `i`'s whole backward pass
+  /// (both halves and its fan-in merges) finishes, i.e. the moment
+  /// grad_segment(i) holds this step's final local gradients. Nodes are
+  /// visited in reverse schedule order, so segments become ready
+  /// tail-first and contiguously — callers can coalesce them into
+  /// buckets and start communicating while earlier nodes are still
+  /// computing.
   using GradReadyCallback = std::function<void(std::size_t layer_index)>;
 
   /// Runs the backward pass from the loss gradient w.r.t. the network
@@ -111,12 +120,12 @@ class ExecContext {
   void zero_grads();
 
   /// Applies a cost-model intra-op plan to this stream (DESIGN.md
-  /// §2.6): copies the per-layer grains into each LayerExecState and
-  /// publishes the dnn/intraop/* gauges. The grain only changes how the
-  /// kernels' fixed job grids are partitioned across the stream's
-  /// ThreadPool, never what any job computes, so applying (or not
-  /// applying) a plan is bitwise-neutral. Plans whose grain list does
-  /// not match this network's layer count throw.
+  /// §2.6): copies the per-layer grains into each LayerExecState. The
+  /// grain only changes how the kernels' fixed job grids are
+  /// partitioned across the stream's ThreadPool, never what any job
+  /// computes, so applying (or not applying) a plan is bitwise-neutral.
+  /// Plans whose grain list does not match this network's layer count
+  /// throw.
   void apply_intraop(const IntraopPlan& plan);
 
   /// The per-layer grain currently applied (1 until apply_intraop).
@@ -145,9 +154,15 @@ class ExecContext {
   /// training mode).
   const tensor::Tensor& diff(std::size_t i) const { return diffs_[i]; }
 
-  /// Per-layer timing rows for Table I / Fig 3, read from this stream's
-  /// LayerExecStates.
-  std::vector<LayerProfile> profiles() const;
+  /// Per-layer timing rows for Table I / Fig 3, one per node in
+  /// schedule order, filled by this stream's schedule loop. A node
+  /// whose every data-gradient target is null (the one reading the
+  /// graph input) records no bwd_data sample; a parameterless node
+  /// records no bwd_weights sample.
+  const std::vector<LayerProfile>& profiles() const noexcept {
+    return profiles_;
+  }
+  /// Clears every row's timings (names, kinds and flops stay).
   void reset_profiles();
 
   // What this context actually allocated, in bytes. For a training
@@ -194,6 +209,7 @@ class ExecContext {
   std::vector<tensor::Tensor> activations_;  // output of each node
   std::vector<tensor::Tensor> diffs_;        // d(loss)/d(activation)
   std::vector<LayerExecState> exec_;         // one per node
+  std::vector<LayerProfile> profiles_;       // one per node
 
   // kBf16 stream storage: bf16 input staging, bf16 activation slot
   // arena (offsets identical to the fp32 act slots) and the fp32

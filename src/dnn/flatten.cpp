@@ -34,9 +34,8 @@ Shape Flatten::plan(std::span<const Shape> inputs) {
   return out;
 }
 
-void Flatten::forward(Inputs srcs, Tensor& dst, LayerExecState& exec,
+void Flatten::forward(Inputs srcs, Tensor& dst, LayerExecState& /*exec*/,
                       runtime::ThreadPool& pool) const {
-  const runtime::ScopedTimer timer(exec.timers.fwd);
   check_inputs(srcs.size());
   const Tensor& src = *srcs[0];
   if (src.shape() != input_shape() || dst.shape() != output_shape()) {
@@ -65,15 +64,15 @@ void Flatten::forward(Inputs srcs, Tensor& dst, LayerExecState& exec,
       grain);
 }
 
-void Flatten::backward(Inputs srcs, const Tensor& /*dst*/, Tensor& ddst,
-                       InputGrads dsrcs, LayerExecState& exec,
-                       runtime::ThreadPool& pool) const {
+void Flatten::backward_data(Inputs srcs, const Tensor& /*dst*/,
+                            const Tensor& ddst, InputGrads dsrcs,
+                            LayerExecState& /*exec*/,
+                            runtime::ThreadPool& pool) const {
   check_inputs(srcs.size(), dsrcs.size());
   if (dsrcs[0] == nullptr) return;
   Tensor& dsrc = *dsrcs[0];
-  const runtime::ScopedTimer timer(exec.timers.bwd_data);
   if (ddst.shape() != output_shape() || dsrc.shape() != input_shape()) {
-    throw std::invalid_argument("Flatten::backward: shape mismatch");
+    throw std::invalid_argument("Flatten::backward_data: shape mismatch");
   }
   const std::int64_t spatial = d_ * h_ * w_;
   // Padded lanes (channels_ < Cb * 16) must stay zero in dsrc.

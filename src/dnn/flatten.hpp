@@ -21,9 +21,10 @@ class Flatten final : public Layer {
 
   void forward(Inputs srcs, tensor::Tensor& dst, LayerExecState& exec,
                runtime::ThreadPool& pool) const override;
-  void backward(Inputs srcs, const tensor::Tensor& dst, tensor::Tensor& ddst,
-                InputGrads dsrcs, LayerExecState& exec,
-                runtime::ThreadPool& pool) const override;
+  void backward_data(Inputs srcs, const tensor::Tensor& dst,
+                     const tensor::Tensor& ddst, InputGrads dsrcs,
+                     LayerExecState& exec,
+                     runtime::ThreadPool& pool) const override;
 
   // bf16 pass-through (dnn/forward_rp.cpp): the reorder is a pure
   // gather, so bf16 values move untouched — no conversion at all.

@@ -430,7 +430,6 @@ void Conv3d::forward_bf16(const bf16_t* src, bf16_t* dst,
                           std::span<const bf16_t> params,
                           LayerExecState& exec,
                           runtime::ThreadPool& pool) const {
-  const runtime::ScopedTimer timer(exec.timers.fwd);
   if (params.size() !=
       static_cast<std::size_t>(weights_.size() + bias_.size())) {
     throw std::logic_error("Conv3d::forward_bf16: bad param segment size");
@@ -722,7 +721,6 @@ void Dense::forward_bf16(const bf16_t* src, bf16_t* dst,
                          std::span<const bf16_t> params,
                          LayerExecState& exec,
                          runtime::ThreadPool& pool) const {
-  const runtime::ScopedTimer timer(exec.timers.fwd);
   if (params.size() != static_cast<std::size_t>(in_ * out_ + out_)) {
     throw std::logic_error("Dense::forward_bf16: bad param segment size");
   }
@@ -833,7 +831,6 @@ void AvgPool3d::forward_bf16(const bf16_t* src, bf16_t* dst,
                              LayerExecState& exec,
                              runtime::ThreadPool& pool) const {
   static_cast<void>(params);  // parameterless
-  const runtime::ScopedTimer timer(exec.timers.fwd);
   const std::int64_t k = config_.kernel;
   const std::int64_t s = config_.stride;
   const float inv = 1.0f / static_cast<float>(k * k * k);
@@ -901,7 +898,6 @@ void Flatten::forward_bf16(const bf16_t* src, bf16_t* dst,
                            LayerExecState& exec,
                            runtime::ThreadPool& pool) const {
   static_cast<void>(params);  // parameterless
-  const runtime::ScopedTimer timer(exec.timers.fwd);
   const std::int64_t spatial = d_ * h_ * w_;
   const std::size_t grain = std::max<std::size_t>(
       channels_ * spatial <= 4096 ? static_cast<std::size_t>(channels_) : 1,
@@ -930,7 +926,7 @@ void LeakyRelu::forward_bf16(const bf16_t* src, bf16_t* dst,
                              LayerExecState& exec,
                              runtime::ThreadPool& pool) const {
   static_cast<void>(params);  // parameterless
-  const runtime::ScopedTimer timer(exec.timers.fwd);
+  static_cast<void>(exec);    // no workspace, no grain
   const std::size_t n =
       static_cast<std::size_t>(output_shape().numel());
   const float slope = slope_;

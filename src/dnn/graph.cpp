@@ -119,10 +119,4 @@ bool Graph::is_head(NodeId i) const {
   return std::find(heads_.begin(), heads_.end(), i) != heads_.end();
 }
 
-std::size_t Graph::edge_count() const {
-  std::size_t edges = 0;
-  for (const Node& node : nodes_) edges += node.inputs.size();
-  return edges;
-}
-
 }  // namespace cf::dnn

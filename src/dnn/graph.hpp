@@ -74,10 +74,6 @@ class Graph {
   const std::vector<NodeId>& heads() const noexcept { return heads_; }
   bool is_head(NodeId i) const;
 
-  /// Total edge count, network-input edges included (the
-  /// dnn/graph/edges gauge).
-  std::size_t edge_count() const;
-
  private:
   struct Node {
     std::unique_ptr<Layer> layer;

@@ -37,9 +37,8 @@ Shape Add::plan(std::span<const Shape> inputs) {
   return inputs[0];
 }
 
-void Add::forward(Inputs srcs, Tensor& dst, LayerExecState& exec,
+void Add::forward(Inputs srcs, Tensor& dst, LayerExecState& /*exec*/,
                   runtime::ThreadPool& pool) const {
-  const runtime::ScopedTimer timer(exec.timers.fwd);
   check_inputs(srcs.size());
   if (dst.shape() != output_shape()) {
     throw std::invalid_argument("Add::forward: shape mismatch");
@@ -66,18 +65,18 @@ void Add::forward(Inputs srcs, Tensor& dst, LayerExecState& exec,
       kSerialWorkLimit);
 }
 
-void Add::backward(Inputs srcs, const Tensor& /*dst*/, Tensor& ddst,
-                   InputGrads dsrcs, LayerExecState& exec,
-                   runtime::ThreadPool& /*pool*/) const {
-  const runtime::ScopedTimer timer(exec.timers.bwd_data);
+void Add::backward_data(Inputs srcs, const Tensor& /*dst*/,
+                        const Tensor& ddst, InputGrads dsrcs,
+                        LayerExecState& /*exec*/,
+                        runtime::ThreadPool& /*pool*/) const {
   check_inputs(srcs.size(), dsrcs.size());
   if (ddst.shape() != output_shape()) {
-    throw std::invalid_argument("Add::backward: shape mismatch");
+    throw std::invalid_argument("Add::backward_data: shape mismatch");
   }
   for (Tensor* ds : dsrcs) {
     if (ds == nullptr) continue;
     if (ds->shape() != input_shape()) {
-      throw std::invalid_argument("Add::backward: dsrc shape mismatch");
+      throw std::invalid_argument("Add::backward_data: dsrc shape mismatch");
     }
     std::memcpy(ds->data(), ddst.data(), ddst.size() * sizeof(float));
   }
@@ -126,9 +125,9 @@ Shape GlobalAvgPool::plan(std::span<const Shape> inputs) {
   return Shape{channels_};
 }
 
-void GlobalAvgPool::forward(Inputs srcs, Tensor& dst, LayerExecState& exec,
+void GlobalAvgPool::forward(Inputs srcs, Tensor& dst,
+                            LayerExecState& /*exec*/,
                             runtime::ThreadPool& pool) const {
-  const runtime::ScopedTimer timer(exec.timers.fwd);
   check_inputs(srcs.size());
   const Tensor& src = *srcs[0];
   if (src.shape() != input_shape() || dst.shape() != output_shape()) {
@@ -171,15 +170,14 @@ void GlobalAvgPool::forward(Inputs srcs, Tensor& dst, LayerExecState& exec,
       });
 }
 
-void GlobalAvgPool::backward(Inputs srcs, const Tensor& /*dst*/,
-                             Tensor& ddst, InputGrads dsrcs,
-                             LayerExecState& exec,
-                             runtime::ThreadPool& pool) const {
+void GlobalAvgPool::backward_data(Inputs srcs, const Tensor& /*dst*/,
+                                  const Tensor& ddst, InputGrads dsrcs,
+                                  LayerExecState& /*exec*/,
+                                  runtime::ThreadPool& pool) const {
   check_inputs(srcs.size(), dsrcs.size());
   if (dsrcs[0] == nullptr) return;
-  const runtime::ScopedTimer timer(exec.timers.bwd_data);
   if (ddst.shape() != output_shape() || dsrcs[0]->shape() != input_shape()) {
-    throw std::invalid_argument("GlobalAvgPool::backward: shape mismatch");
+    throw std::invalid_argument("GlobalAvgPool::backward_data: shape mismatch");
   }
   const float inv = 1.0f / static_cast<float>(voxels_);
   const float* dd = ddst.data();

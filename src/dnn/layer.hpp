@@ -10,17 +10,19 @@
 // Layers are split model/stream (DESIGN.md §2.3): the layer object
 // holds only immutable-after-finalize state — geometry from plan(),
 // weights, fusion flags — while everything a single execution stream
-// mutates (timers, forward staging workspace, backward scratch,
-// gradient tensors) lives in a LayerExecState that the caller passes
-// into every forward/backward. A planned layer holds no per-stream
-// state at all: a dnn::ExecContext owns one LayerExecState per layer,
-// and standalone drivers (unit tests, kernel benches) own theirs in a
+// mutates (forward staging workspace, backward scratch, gradient
+// tensors) lives in a LayerExecState that the caller passes into every
+// pass. A planned layer holds no per-stream state at all: a
+// dnn::ExecContext owns one LayerExecState per layer, and standalone
+// drivers (unit tests, kernel benches) own theirs in a
 // dnn::StandaloneExec.
 //
 // Each pass has exactly one entry point, taking the node's inputs in
-// graph edge order (DESIGN.md §2.8): plan, forward, backward, plus
-// forward_bf16 as the one reduced-precision sibling. A single-input
-// layer receives one-element spans; a wrong count throws.
+// graph edge order (DESIGN.md §2.8): plan, forward, backward_weights,
+// backward_data, plus forward_bf16 as the one reduced-precision
+// sibling. A single-input layer receives one-element spans; a wrong
+// count throws. Layers do not time themselves: the driver (the
+// ExecContext schedule loop) times each pass around the call.
 #pragma once
 
 #include <cstdint>
@@ -73,14 +75,10 @@ struct ParamView {
   tensor::Tensor* grad = nullptr;
 };
 
-/// Per-layer wall-clock accounting (Table I / Fig 3).
-struct LayerTimers {
-  runtime::TimeStats fwd;
-  runtime::TimeStats bwd_data;
-  runtime::TimeStats bwd_weights;
-};
-
-/// Per-layer profile row (Table I), produced by ExecContext::profiles.
+/// Per-layer profile row (Table I / Fig 3), one per node of an
+/// ExecContext, filled by its schedule loop. The span labels
+/// ("conv2/fwd", ...) are built once with the row, so tracing a pass
+/// never concatenates strings.
 struct LayerProfile {
   std::string name;
   std::string kind;
@@ -88,16 +86,17 @@ struct LayerProfile {
   runtime::TimeStats bwd_data;
   runtime::TimeStats bwd_weights;
   FlopCounts flops;
+  std::string fwd_label;
+  std::string bww_label;
+  std::string bwd_data_label;
 };
 
 /// Everything one execution stream mutates while driving one layer.
 /// Owned by a dnn::ExecContext (one per layer) or by a StandaloneExec;
 /// the layer object never touches it except through the reference
-/// passed into forward/backward, so N streams can run the same layer
+/// passed into each pass, so N streams can run the same layer
 /// concurrently.
 struct LayerExecState {
-  LayerTimers timers;
-
   /// Forward staging memory, size >= forward_workspace_floats()
   /// (the conv padded-source copy, the dense chunk accumulators).
   /// Zeroed once at creation; when `workspace_shared` is set the region
@@ -111,7 +110,7 @@ struct LayerExecState {
   std::span<float> scratch;
 
   /// Gradient tensors, parallel to param_specs(). Accumulated into by
-  /// backward — callers zero them per step.
+  /// backward_weights — callers zero them per step.
   std::vector<tensor::Tensor> grads;
 
   /// Minimum job-grid items per parallel_for chunk for this layer's
@@ -130,12 +129,7 @@ using InputGrads = std::span<tensor::Tensor* const>;
 
 class Layer {
  public:
-  explicit Layer(std::string name)
-      : name_(std::move(name)),
-        label_fwd_(name_ + "/fwd"),
-        label_bwd_(name_ + "/bwd"),
-        label_bww_(name_ + "/bww"),
-        label_bwd_data_(name_ + "/bwd_data") {}
+  explicit Layer(std::string name) : name_(std::move(name)) {}
   virtual ~Layer() = default;
 
   Layer(const Layer&) = delete;
@@ -177,19 +171,33 @@ class Layer {
                        LayerExecState& exec,
                        runtime::ThreadPool& pool) const = 0;
 
-  /// Computes parameter gradients (accumulated into `exec.grads` —
-  /// callers zero them per step) and, for every non-null `dsrcs[k]`,
-  /// d(loss)/d(input k), which *overwrites* dsrcs[k]: merging the
-  /// contributions of several consumers is the execution context's job
-  /// (DESIGN.md §2.8). `srcs` are the forward inputs and `dst` this
-  /// layer's own forward output, from which layers with a fused eltwise
-  /// epilogue recover the activation-derivative mask. `ddst` is
-  /// *consumed*: fused layers mask it in place (it is dead after this
-  /// call — the backward sweep never re-reads a layer's ddst).
-  virtual void backward(Inputs srcs, const tensor::Tensor& dst,
-                        tensor::Tensor& ddst, InputGrads dsrcs,
-                        LayerExecState& exec,
-                        runtime::ThreadPool& pool) const = 0;
+  // Backward is two calls so the driver can time the weight-gradient
+  // (Bww) and data-gradient (Bwd) halves apart (Table I). A driver
+  // calls backward_weights first — it *consumes* ddst: fused layers
+  // mask it in place with the activation derivative, and
+  // backward_data then reads the masked values. `srcs` are the forward
+  // inputs and `dst` this layer's own forward output, from which layers
+  // with a fused eltwise epilogue recover the activation-derivative
+  // mask. ddst is dead after the pair (the backward sweep never
+  // re-reads a layer's ddst).
+
+  /// Accumulates parameter gradients into `exec.grads` (callers zero
+  /// them per step). Parameterless layers keep this no-op default; a
+  /// driver may skip the call for them.
+  virtual void backward_weights(Inputs /*srcs*/,
+                                const tensor::Tensor& /*dst*/,
+                                tensor::Tensor& /*ddst*/,
+                                LayerExecState& /*exec*/,
+                                runtime::ThreadPool& /*pool*/) const {}
+
+  /// For every non-null `dsrcs[k]`, d(loss)/d(input k), which
+  /// *overwrites* dsrcs[k]: merging the contributions of several
+  /// consumers is the execution context's job (DESIGN.md §2.8). A
+  /// driver may skip the call when every dsrc is null.
+  virtual void backward_data(Inputs srcs, const tensor::Tensor& dst,
+                             const tensor::Tensor& ddst, InputGrads dsrcs,
+                             LayerExecState& exec,
+                             runtime::ThreadPool& pool) const = 0;
 
   // --- Reduced-precision inference (DESIGN.md §2.5) -------------------
 
@@ -265,15 +273,6 @@ class Layer {
     return n;
   }
 
-  // Precomputed CF_TRACE_SCOPE labels ("conv2/fwd", ...) so the span
-  // hot path never concatenates strings.
-  const std::string& span_label_fwd() const noexcept { return label_fwd_; }
-  const std::string& span_label_bwd() const noexcept { return label_bwd_; }
-  const std::string& span_label_bww() const noexcept { return label_bww_; }
-  const std::string& span_label_bwd_data() const noexcept {
-    return label_bwd_data_;
-  }
-
  protected:
   void set_shapes(const tensor::Shape& in, const tensor::Shape& out) {
     input_shape_ = in;
@@ -296,10 +295,6 @@ class Layer {
 
  private:
   std::string name_;
-  std::string label_fwd_;
-  std::string label_bwd_;
-  std::string label_bww_;
-  std::string label_bwd_data_;
   tensor::Shape input_shape_;
   tensor::Shape output_shape_;
 };

@@ -5,8 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "obs/metrics.hpp"
-
 namespace cf::dnn {
 
 using tensor::Shape;
@@ -159,8 +157,6 @@ void Network::finalize(const Shape& input_shape) {
   }
   if (fuse_eltwise_) {
     fused_pairs_ = graph_.fuse_eltwise();
-    obs::Registry::global().gauge("dnn/fused_pairs").set(
-        static_cast<double>(fused_pairs_));
   }
   graph_.seal();
   input_shape_ = input_shape;
@@ -195,17 +191,6 @@ void Network::finalize(const Shape& input_shape) {
 
   build_arena();
   plan_memory();
-
-  auto& reg = obs::Registry::global();
-  reg.gauge("dnn/activation_bytes")
-      .set(static_cast<double>(activation_bytes()));
-  reg.gauge("dnn/diff_arena_bytes")
-      .set(static_cast<double>(diff_arena_bytes()));
-  reg.gauge("dnn/scratch_bytes").set(static_cast<double>(scratch_bytes()));
-  reg.gauge("dnn/graph/nodes").set(static_cast<double>(n));
-  reg.gauge("dnn/graph/edges")
-      .set(static_cast<double>(graph_.edge_count()));
-  reg.gauge("dnn/graph/heads").set(static_cast<double>(heads.size()));
   finalized_ = true;
 }
 
@@ -377,8 +362,6 @@ void Network::prepare_inference_precision(Precision precision) {
         {bf16_arena_.data() + segment_offsets_[i], segment_sizes_[i]});
   }
   bf16_prepared_ = true;
-  obs::Registry::global().gauge("dnn/precision/bf16_weight_bytes").set(
-      static_cast<double>(bf16_arena_.size() * sizeof(bf16_t)));
 }
 
 std::size_t Network::activation_bytes() const noexcept {

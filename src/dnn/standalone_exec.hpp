@@ -40,13 +40,15 @@ struct StandaloneExec {
     layer.forward(srcs, dst, state, pool);
   }
 
-  /// A null `dsrc` skips the data gradient.
+  /// backward_weights, then backward_data — the order the Layer
+  /// contract requires. A null `dsrc` skips the data gradient.
   void backward(const tensor::Tensor& src, const tensor::Tensor& dst,
                 tensor::Tensor& ddst, tensor::Tensor* dsrc,
                 runtime::ThreadPool& pool) {
     const tensor::Tensor* srcs[] = {&src};
     tensor::Tensor* dsrcs[] = {dsrc};
-    layer.backward(srcs, dst, ddst, dsrcs, state, pool);
+    layer.backward_weights(srcs, dst, ddst, state, pool);
+    layer.backward_data(srcs, dst, ddst, dsrcs, state, pool);
   }
 
   Layer& layer;

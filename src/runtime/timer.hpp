@@ -71,17 +71,4 @@ class TimeStats {
   std::size_t count_ = 0;
 };
 
-/// RAII scope timer appending into a TimeStats.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(TimeStats& stats) : stats_(stats) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-  ~ScopedTimer() { stats_.add(watch_.elapsed_seconds()); }
-
- private:
-  TimeStats& stats_;
-  Stopwatch watch_;
-};
-
 }  // namespace cf::runtime

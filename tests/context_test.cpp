@@ -8,14 +8,18 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/dataset_gen.hpp"
 #include "core/topology.hpp"
 #include "core/trainer.hpp"
+#include "dnn/cost_model.hpp"
 #include "dnn/network.hpp"
-#include "obs/metrics.hpp"
+#include "obs/telemetry.hpp"
 #include "runtime/rng.hpp"
 #include "runtime/thread_pool.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -40,14 +44,12 @@ TEST(Context, InferenceContextAllocatesForwardStateOnly) {
   EXPECT_GT(ctx.activation_bytes(), 0u);
   EXPECT_LT(ctx.activation_bytes(), net.activation_bytes());
   EXPECT_LT(ctx.peak_tensor_bytes(), net.peak_tensor_bytes());
-
-  // The ctx gauges said the same thing at construction.
-  auto& reg = obs::Registry::global();
-  EXPECT_EQ(reg.gauge("dnn/ctx/mode").value(), 1.0);
-  EXPECT_EQ(reg.gauge("dnn/ctx/activation_bytes").value(),
-            static_cast<double>(ctx.activation_bytes()));
-  EXPECT_EQ(reg.gauge("dnn/ctx/total_bytes").value(),
-            static_cast<double>(ctx.total_bytes()));
+  // Everything it holds: the input staging copy, the activations and
+  // the staging workspace — nothing backward-side.
+  EXPECT_EQ(ctx.total_bytes(),
+            static_cast<std::size_t>(net.input_shape().numel()) *
+                    sizeof(float) +
+                ctx.activation_bytes() + ctx.workspace_bytes());
 
   // Backward-side entry points are hard errors, not silent no-ops.
   runtime::ThreadPool pool(1);
@@ -74,7 +76,7 @@ TEST(Context, TrainingContextMatchesPlannedFootprint) {
     EXPECT_EQ(ctx.scratch_bytes(), net.scratch_bytes());
     EXPECT_EQ(ctx.peak_tensor_bytes(), net.peak_tensor_bytes());
     EXPECT_EQ(ctx.grad_bytes(), net.param_bytes());
-    EXPECT_EQ(obs::Registry::global().gauge("dnn/ctx/mode").value(), 0.0);
+    EXPECT_EQ(ctx.mode(), dnn::ExecMode::kTraining);
   }
 }
 
@@ -133,18 +135,23 @@ TEST(Context, ConcurrentInferenceStreamsMatchSerial) {
   }
 
   // Concurrent: one thread per stream, each with its own context and
-  // its own worker pool, all sharing the Network's weights.
+  // its own worker pool, all sharing the Network's weights. Each
+  // stream's profile rows count its own forwards only.
   std::vector<std::vector<std::vector<float>>> actual(kStreams);
+  std::vector<std::vector<std::size_t>> fwd_counts(kStreams);
   {
     std::vector<std::thread> threads;
     threads.reserve(kStreams);
     for (int s = 0; s < kStreams; ++s) {
-      threads.emplace_back([&net, &inputs, &actual, s] {
+      threads.emplace_back([&net, &inputs, &actual, &fwd_counts, s] {
         dnn::ExecContext ctx =
             net.make_context(dnn::ExecMode::kInference);
         runtime::ThreadPool pool(2);
         for (const Tensor& input : inputs[s]) {
           actual[s].push_back(ctx.forward(input, pool).to_vector());
+        }
+        for (const dnn::LayerProfile& row : ctx.profiles()) {
+          fwd_counts[s].push_back(row.fwd.count());
         }
       });
     }
@@ -152,11 +159,89 @@ TEST(Context, ConcurrentInferenceStreamsMatchSerial) {
   }
 
   for (int s = 0; s < kStreams; ++s) {
+    ASSERT_EQ(fwd_counts[s].size(), net.layer_count()) << "stream " << s;
+    for (const std::size_t count : fwd_counts[s]) {
+      EXPECT_EQ(count, static_cast<std::size_t>(kRepsPerStream))
+          << "stream " << s;
+    }
     ASSERT_EQ(actual[s].size(), expected[s].size()) << "stream " << s;
     for (std::size_t r = 0; r < expected[s].size(); ++r) {
       EXPECT_EQ(tensor::max_abs_diff(actual[s][r], expected[s][r]), 0.0f)
           << "stream " << s << " rep " << r;
     }
+  }
+}
+
+// --- One timing site: the schedule loop's two clock readings around a
+// pass feed both the node's profile row and the pass's trace span, so
+// the two agree to the nanosecond. ---
+
+TEST(Context, ProfilesAndSpansAreOneMeasurement) {
+  if (!obs::kTelemetryEnabled) {
+    GTEST_SKIP() << "spans compiled out (COSMOFLOW_TELEMETRY=OFF)";
+  }
+  dnn::Network net = core::build_network(core::cosmoflow_scaled(8), 3);
+  dnn::ExecContext ctx = net.make_context(dnn::ExecMode::kTraining);
+  runtime::ThreadPool pool(2);
+  Tensor input(net.input_shape());
+  runtime::Rng rng(5);
+  tensor::fill_normal(input, rng, 0.0f, 1.0f);
+  Tensor dloss(net.output_shape());
+  dloss.fill(1.0f);
+
+  obs::Tracer& tracer = obs::Tracer::global();
+  const bool was_enabled = tracer.enabled();
+  tracer.set_enabled(true);
+  tracer.clear();
+  ctx.forward(input, pool);
+  ctx.zero_grads();
+  ctx.backward(dloss, pool);
+  const std::vector<obs::TraceEvent> events = tracer.snapshot();
+  tracer.set_enabled(was_enabled);
+
+  std::map<std::string, std::vector<std::uint64_t>> spans;
+  for (const obs::TraceEvent& event : events) {
+    spans[event.name].push_back(event.dur_ns);
+  }
+  std::size_t passes = 0;
+  const auto expect_one_measurement = [&](const std::string& label,
+                                          const runtime::TimeStats& stats) {
+    const std::vector<std::uint64_t>& durations = spans[label];
+    ASSERT_EQ(durations.size(), stats.count()) << label;
+    if (durations.empty()) return;
+    EXPECT_EQ(1e-9 * static_cast<double>(durations[0]), stats.total())
+        << label;
+    ++passes;
+  };
+  for (const dnn::LayerProfile& row : ctx.profiles()) {
+    EXPECT_EQ(row.fwd.count(), 1u) << row.name;
+    expect_one_measurement(row.fwd_label, row.fwd);
+    expect_one_measurement(row.bww_label, row.bwd_weights);
+    expect_one_measurement(row.bwd_data_label, row.bwd_data);
+  }
+  // Every forward, every parameterized node's Bww, and every Bwd but
+  // the first node's (it reads the graph input).
+  std::size_t parameterized = 0;
+  for (std::size_t i = 0; i < net.layer_count(); ++i) {
+    if (net.segment_size(i) > 0) ++parameterized;
+  }
+  EXPECT_EQ(passes, 2 * net.layer_count() - 1 + parameterized);
+}
+
+// --- Stats are kept per instance: building contexts, preparing bf16
+// and applying an intra-op plan publish no process-global dnn/ gauge
+// for the last-built object to overwrite. ---
+
+TEST(Context, PublishesNoProcessGlobalGauges) {
+  dnn::Network net = core::build_network(core::cosmoflow_scaled(8), 9);
+  dnn::ExecContext train_ctx = net.make_context(dnn::ExecMode::kTraining);
+  dnn::ExecContext infer_ctx = net.make_context(dnn::ExecMode::kInference);
+  net.prepare_inference_precision(dnn::Precision::kBf16);
+  dnn::ExecContext bf16_ctx =
+      net.make_context(dnn::ExecMode::kInference, dnn::Precision::kBf16);
+  infer_ctx.apply_intraop(dnn::CostModel(net).choose(2));
+  for (const auto& [name, value] : obs::Registry::global().snapshot().gauges) {
+    EXPECT_FALSE(name.starts_with("dnn/")) << name << " = " << value;
   }
 }
 

@@ -32,7 +32,6 @@
 #include "dnn/graph_ops.hpp"
 #include "dnn/loss.hpp"
 #include "dnn/network.hpp"
-#include "obs/metrics.hpp"
 #include "optim/adam.hpp"
 #include "runtime/rng.hpp"
 #include "runtime/thread_pool.hpp"
@@ -97,20 +96,6 @@ TEST(Graph, RejectsMalformedTopologies) {
                  std::logic_error);
     EXPECT_THROW(net.set_heads({NodeId{0}}), std::logic_error);
   }
-}
-
-TEST(Graph, PublishesTopologyGauges) {
-  core::ResidualTopologyConfig config;
-  config.input_dhw = 4;
-  config.width = 16;
-  config.trunk = 8;
-  dnn::Network net = core::build_residual_network(config, 11);
-  auto& reg = obs::Registry::global();
-  EXPECT_EQ(reg.gauge("dnn/graph/nodes").value(),
-            static_cast<double>(net.layer_count()));
-  EXPECT_EQ(reg.gauge("dnn/graph/edges").value(),
-            static_cast<double>(net.graph().edge_count()));
-  EXPECT_EQ(reg.gauge("dnn/graph/heads").value(), 2.0);
 }
 
 // --- (a) Sequential lowering is bitwise plan-invariant ---------------
@@ -373,6 +358,7 @@ core::ResidualTopologyConfig tiny_residual(std::int64_t dhw) {
 TEST(GraphResidual, GradientMatchesFiniteDifferences) {
   const core::ResidualTopologyConfig config = tiny_residual(4);
   dnn::Network net = core::build_residual_network(config, 7);
+  EXPECT_EQ(net.head_count(), 2u);  // one head per head_outputs entry
   const Tensor input = random_input(core::input_shape(config), 23);
   const std::size_t out_n =
       static_cast<std::size_t>(net.output_shape().numel());

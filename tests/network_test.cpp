@@ -210,6 +210,28 @@ TEST(Network, ProfilesAccumulateAndReset) {
   profiles = ctx.profiles();
   EXPECT_EQ(profiles.front().fwd.count(), 0u);
 
+  // N training steps: every node times its forward once per step; conv
+  // and dense rows time a Bww pass, parameterless rows none; the node
+  // reading the graph input has no data gradient, so no Bwd sample.
+  constexpr std::size_t kSteps = 3;
+  Tensor dloss(net.output_shape());
+  dloss.fill(1.0f);
+  for (std::size_t step = 0; step < kSteps; ++step) {
+    ctx.forward(input, pool);
+    ctx.zero_grads();
+    ctx.backward(dloss, pool);
+  }
+  ASSERT_EQ(ctx.profiles().size(), net.layer_count());
+  for (std::size_t i = 0; i < net.layer_count(); ++i) {
+    const LayerProfile& row = ctx.profiles()[i];
+    const bool has_params = row.kind == "conv" || row.kind == "dense";
+    EXPECT_EQ(row.fwd.count(), kSteps) << row.name;
+    EXPECT_EQ(row.bwd_weights.count(), has_params ? kSteps : 0u)
+        << row.name;
+    EXPECT_EQ(row.bwd_data.count(), i == 0 ? 0u : kSteps) << row.name;
+  }
+  EXPECT_EQ(ctx.profiles().front().name, "conv1");
+
   // Timers are per-stream: a second context starts clean.
   ExecContext other = net.make_context(ExecMode::kTraining);
   EXPECT_EQ(other.profiles().front().fwd.count(), 0u);

@@ -172,8 +172,6 @@ TEST(Precision, MakeContextRejectsUnpreparedAndTraining) {
   dnn::ExecContext ctx =
       net.make_context(dnn::ExecMode::kInference, dnn::Precision::kBf16);
   EXPECT_EQ(ctx.precision(), dnn::Precision::kBf16);
-  EXPECT_EQ(obs::Registry::global().gauge("dnn/ctx/precision").value(),
-            1.0);
 }
 
 // --- Determinism: each precision is bitwise stable against itself. ---

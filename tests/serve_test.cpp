@@ -231,8 +231,9 @@ class ThrowOnSentinel final : public dnn::Layer {
       dst.data()[i] = 2.0f * src.data()[i];
     }
   }
-  void backward(dnn::Inputs, const Tensor&, Tensor&, dnn::InputGrads,
-                dnn::LayerExecState&, runtime::ThreadPool&) const override {
+  void backward_data(dnn::Inputs, const Tensor&, const Tensor&,
+                     dnn::InputGrads, dnn::LayerExecState&,
+                     runtime::ThreadPool&) const override {
     throw std::logic_error("ThrowOnSentinel: inference only");
   }
 };
@@ -348,8 +349,8 @@ TEST(Serve, ConstNetworkHandsOutInferenceContextsOnly) {
 }
 
 // --- Server-style reuse: one warm inference context sweeps hundreds
-// of varying requests without a single reallocation. The dnn/ctx/*
-// gauges written at construction stay the truth for the whole run. ---
+// of varying requests without a single reallocation. The footprint
+// read at construction stays the truth for the whole run. ---
 
 TEST(ServeContextReuse, NoReallocationAcrossHundredsOfBatches) {
   const auto net = make_network(16, 29);
@@ -358,11 +359,6 @@ TEST(ServeContextReuse, NoReallocationAcrossHundredsOfBatches) {
 
   const std::size_t activation_bytes = ctx.activation_bytes();
   const std::size_t total_bytes = ctx.total_bytes();
-  auto& reg = obs::Registry::global();
-  ASSERT_EQ(reg.gauge("dnn/ctx/activation_bytes").value(),
-            static_cast<double>(activation_bytes));
-  ASSERT_EQ(reg.gauge("dnn/ctx/total_bytes").value(),
-            static_cast<double>(total_bytes));
 
   // Warm-up request, kept as the bitwise anchor.
   runtime::Rng rng(31);
@@ -386,10 +382,6 @@ TEST(ServeContextReuse, NoReallocationAcrossHundredsOfBatches) {
   // Still exactly the construction-time footprint…
   EXPECT_EQ(ctx.activation_bytes(), activation_bytes);
   EXPECT_EQ(ctx.total_bytes(), total_bytes);
-  EXPECT_EQ(reg.gauge("dnn/ctx/activation_bytes").value(),
-            static_cast<double>(activation_bytes));
-  EXPECT_EQ(reg.gauge("dnn/ctx/total_bytes").value(),
-            static_cast<double>(total_bytes));
   // …and still exactly the warm-up bits (state from 200 intervening
   // requests leaked nothing into the arenas).
   EXPECT_EQ(tensor::max_abs_diff(ctx.forward(anchor, pool).to_vector(),
