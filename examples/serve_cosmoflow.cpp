@@ -1,7 +1,7 @@
 // Serving: stand up the inference service (SERVING.md) over one
 // shared network, submit a handful of concurrent requests,
-// and read back predictions plus the serve/* metrics a production
-// exporter would scrape.
+// and read back predictions plus the server's own request counters and
+// latency percentiles.
 //
 // Uses a freshly initialized network by default so it runs with zero
 // setup; pass --checkpoint=PATH (from train_cosmoflow) to serve
@@ -19,7 +19,6 @@
 #include "cosmo/simulation.hpp"
 #include "dnn/network.hpp"
 #include "examples/example_utils.hpp"
-#include "obs/metrics.hpp"
 #include "runtime/rng.hpp"
 #include "serve/server.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -93,14 +92,13 @@ int main(int argc, char** argv) {
   }
   server.shutdown();
 
-  // The metrics the service exported while it ran (OBSERVABILITY.md).
-  auto& reg = obs::Registry::global();
-  const auto latency = reg.histogram("serve/latency").snapshot();
-  std::printf("\nserve/accepted %lld, serve/completed %lld, latency p50 "
+  // What the server counted while it ran (OBSERVABILITY.md).
+  const obs::HistogramSnapshot latency = server.latency();
+  std::printf("\naccepted %lld, rejected %lld, completed %lld, latency p50 "
               "%.2f ms p99 %.2f ms\n",
-              static_cast<long long>(reg.counter("serve/accepted").value()),
-              static_cast<long long>(
-                  reg.counter("serve/completed").value()),
+              static_cast<long long>(server.accepted()),
+              static_cast<long long>(server.rejected()),
+              static_cast<long long>(server.completed()),
               latency.percentile(0.5) * 1e3,
               latency.percentile(0.99) * 1e3);
   return 0;

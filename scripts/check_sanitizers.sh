@@ -15,7 +15,8 @@
 #           unit suites (conv sweep and grad check, pooling, dense,
 #           LeakyRelu) run here and on ubsan: they drive each layer
 #           through a caller-owned StandaloneExec state.
-#   tsan  — cross-thread hand-offs: the MlComm collectives and helper
+#   tsan  — cross-thread hand-offs: the obs instruments under
+#           concurrent writers, the MlComm collectives and helper
 #           thread (sync + async bucketed allreduce), ThreadPool
 #           dispatch, the overlapped trainer step loop, the Context
 #           suite's concurrent inference streams sharing one immutable
@@ -71,7 +72,9 @@ run_one() {
       # threads over one shared weight arena
       # (GraphShapeView.ConcurrentPerShapeInference), plus the
       # multi-head serving path in GraphResidual.TrainsAndServes.
-      filter='MlComm*.*:MlCommAsync*.*:ThreadPool*.*:OverlapBitwise*.*:OverlapTelemetry*.*:TrainerDeterminism*.*:Context.ConcurrentInferenceStreamsMatchSerial:Context.InferenceForwardBitwiseMatchesTraining:Serve*.*:Precision*.*:Intraop*.*:*/Intraop*.*:Graph*.*:Pipeline*.*:PipelinePool*.*:DataPath*.*'
+      # Metrics.* rides this leg for the Counter, Stat and Histogram
+      # contention tests: four pool threads add to one instrument.
+      filter='Metrics.*:MlComm*.*:MlCommAsync*.*:ThreadPool*.*:OverlapBitwise*.*:OverlapTelemetry*.*:TrainerDeterminism*.*:Context.ConcurrentInferenceStreamsMatchSerial:Context.InferenceForwardBitwiseMatchesTraining:Serve*.*:Precision*.*:Intraop*.*:*/Intraop*.*:Graph*.*:Pipeline*.*:PipelinePool*.*:DataPath*.*'
       ;;
     ubsan)
       cmake_flag="-DCOSMOFLOW_UBSAN=ON"

@@ -15,19 +15,19 @@ void RankHandle::barrier() { comm_->barrier_.arrive_and_wait(); }
 
 void RankHandle::broadcast(std::span<float> data, int root) {
   CF_TRACE_SCOPE("comm/broadcast", "comm");
-  const obs::ScopedStatTimer timer(*comm_->comm_stats_[rank_]);
+  const obs::ScopedStatTimer timer(comm_->rank_stats_[rank_].collective);
   comm_->do_broadcast(rank_, data, root);
 }
 
 void RankHandle::allreduce_average(std::span<float> data) {
   CF_TRACE_SCOPE("comm/allreduce", "comm");
-  const obs::ScopedStatTimer timer(*comm_->comm_stats_[rank_]);
+  const obs::ScopedStatTimer timer(comm_->rank_stats_[rank_].collective);
   comm_->do_allreduce(rank_, data);
 }
 
 double RankHandle::allreduce_average_scalar(double value) {
   CF_TRACE_SCOPE("comm/allreduce_scalar", "comm");
-  const obs::ScopedStatTimer timer(*comm_->comm_stats_[rank_]);
+  const obs::ScopedStatTimer timer(comm_->rank_stats_[rank_].collective);
   comm_->scalar_slots_[rank_] = value;
   comm_->barrier_.arrive_and_wait();
   double acc = 0.0;
@@ -46,17 +46,19 @@ void RankHandle::wait(PendingReduce& pending) {
 }
 
 runtime::TimeStats RankHandle::comm_time() const {
-  return comm_->comm_stats_[rank_]->snapshot();
+  return comm_->rank_stats_[rank_].collective.snapshot();
 }
 
-void RankHandle::reset_comm_time() { comm_->comm_stats_[rank_]->reset(); }
+void RankHandle::reset_comm_time() {
+  comm_->rank_stats_[rank_].collective.reset();
+}
 
 runtime::TimeStats RankHandle::exposed_comm_time() const {
-  return comm_->exposed_stats_[rank_]->snapshot();
+  return comm_->rank_stats_[rank_].exposed.snapshot();
 }
 
 runtime::TimeStats RankHandle::hidden_comm_time() const {
-  return comm_->hidden_stats_[rank_]->snapshot();
+  return comm_->rank_stats_[rank_].hidden.snapshot();
 }
 
 MlComm::MlComm(int nranks, MlCommConfig config)
@@ -65,37 +67,16 @@ MlComm::MlComm(int nranks, MlCommConfig config)
       barrier_(static_cast<std::size_t>(nranks)),
       slots_(static_cast<std::size_t>(nranks), nullptr),
       slot_sizes_(static_cast<std::size_t>(nranks), 0),
-      scalar_slots_(static_cast<std::size_t>(nranks), 0.0) {
+      scalar_slots_(static_cast<std::size_t>(nranks), 0.0),
+      rank_stats_(static_cast<std::size_t>(nranks)) {
   if (nranks <= 0) throw std::invalid_argument("MlComm: nranks must be > 0");
   if (config_.chunk_elems == 0) {
     throw std::invalid_argument("MlComm: chunk_elems must be > 0");
   }
   handles_.reserve(static_cast<std::size_t>(nranks));
-  comm_stats_.reserve(static_cast<std::size_t>(nranks));
   async_posts_.resize(static_cast<std::size_t>(nranks));
   posted_count_.assign(static_cast<std::size_t>(nranks), 0);
-  obs::Registry& registry = obs::Registry::global();
-  for (int r = 0; r < nranks; ++r) {
-    handles_.push_back(RankHandle(this, r));
-    const std::string suffix = "/r" + std::to_string(r);
-    obs::Stat& stat = registry.stat("comm/collective" + suffix);
-    stat.reset();  // a new communicator starts a fresh measurement
-    comm_stats_.push_back(&stat);
-    obs::Stat& exposed = registry.stat("comm/exposed" + suffix);
-    exposed.reset();
-    exposed_stats_.push_back(&exposed);
-    obs::Stat& hidden = registry.stat("comm/hidden" + suffix);
-    hidden.reset();
-    hidden_stats_.push_back(&hidden);
-    obs::Gauge& overlap =
-        registry.gauge("comm/overlap_fraction" + suffix);
-    overlap.reset();
-    overlap_gauges_.push_back(&overlap);
-  }
-  allreduce_calls_ = &registry.counter("comm/allreduce_calls");
-  allreduce_bytes_ = &registry.counter("comm/allreduce_bytes");
-  allreduce_chunks_ = &registry.counter("comm/allreduce_chunks");
-  bucket_count_ = &registry.counter("comm/buckets");
+  for (int r = 0; r < nranks; ++r) handles_.push_back(RankHandle(this, r));
 }
 
 MlComm::~MlComm() {
@@ -162,11 +143,6 @@ void MlComm::do_broadcast(int rank, std::span<float> data, int root) {
 }
 
 void MlComm::do_allreduce(int rank, std::span<float> data) {
-  if (rank == 0) {
-    allreduce_calls_->add(1);
-    allreduce_bytes_->add(
-        static_cast<std::int64_t>(data.size() * sizeof(float)));
-  }
   if (config_.pre_reduce_hook) config_.pre_reduce_hook(rank);
   publish(rank, data.data(), data.size());
   if (barrier_.arrive_and_wait()) {
@@ -200,7 +176,6 @@ void MlComm::reduce_scatter_allgather(int rank, std::span<float> data) {
 
   // Reduce-scatter: this rank reduces its owned range across all
   // ranks, in fixed rank order (determinism), chunk by chunk.
-  std::int64_t chunks = 0;
   for (std::size_t chunk = begin; chunk < end;
        chunk += config_.chunk_elems) {
     const std::size_t stop = std::min(end, chunk + config_.chunk_elems);
@@ -211,9 +186,7 @@ void MlComm::reduce_scatter_allgather(int rank, std::span<float> data) {
       for (std::size_t i = 0; i < stop - chunk; ++i) out[i] += in[i];
     }
     for (std::size_t i = 0; i < stop - chunk; ++i) out[i] *= inv;
-    ++chunks;
   }
-  if (chunks > 0) allreduce_chunks_->add(chunks);
   barrier_.arrive_and_wait();
 
   // Allgather: copy the full averaged vector back.
@@ -267,13 +240,10 @@ void MlComm::wait_async(int rank, PendingReduce& pending) {
   const double service =
       std::max(0.0, completed_seconds - pending.post_seconds_);
   const double hidden = std::max(0.0, service - exposed);
-  const std::size_t r = static_cast<std::size_t>(rank);
-  exposed_stats_[r]->add(exposed);
-  hidden_stats_[r]->add(hidden);
-  comm_stats_[r]->add(exposed);
-  const double h = hidden_stats_[r]->snapshot().total();
-  const double e = exposed_stats_[r]->snapshot().total();
-  overlap_gauges_[r]->set(h + e > 0.0 ? h / (h + e) : 0.0);
+  RankStats& stats = rank_stats_[static_cast<std::size_t>(rank)];
+  stats.exposed.add(exposed);
+  stats.hidden.add(hidden);
+  stats.collective.add(exposed);
 }
 
 void MlComm::set_async_error_locked(std::exception_ptr error) {
@@ -317,9 +287,6 @@ void MlComm::helper_loop() {
     ++completed_count_;
     completed_[completed_count_] =
         BucketDone{comm_clock_.elapsed_seconds(), nranks_};
-    bucket_count_->add(1);
-    allreduce_calls_->add(1);
-    allreduce_bytes_->add(static_cast<std::int64_t>(n * sizeof(float)));
     async_done_cv_.notify_all();
   }
 }
@@ -334,7 +301,6 @@ void MlComm::reduce_bucket(const std::vector<BucketPost>& posts) {
   if (n == 0) return;
   const float inv = 1.0f / static_cast<float>(nranks_);
   if (async_scratch_.size() < n) async_scratch_.resize(n);
-  std::int64_t chunks = 0;
   for (std::size_t chunk = 0; chunk < n; chunk += config_.chunk_elems) {
     const std::size_t stop = std::min(n, chunk + config_.chunk_elems);
     float* out = async_scratch_.data() + chunk;
@@ -344,12 +310,10 @@ void MlComm::reduce_bucket(const std::vector<BucketPost>& posts) {
       for (std::size_t i = 0; i < stop - chunk; ++i) out[i] += in[i];
     }
     for (std::size_t i = 0; i < stop - chunk; ++i) out[i] *= inv;
-    ++chunks;
   }
   for (const BucketPost& post : posts) {
     std::memcpy(post.data, async_scratch_.data(), n * sizeof(float));
   }
-  allreduce_chunks_->add(chunks);
 }
 
 void MlComm::central_root(int rank, std::span<float> data) {

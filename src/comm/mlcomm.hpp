@@ -26,9 +26,9 @@
 // communicator, which reduces each bucket with the same fixed-rank-
 // order chunk loop as the synchronous path — results are bitwise
 // identical — while the rank threads keep computing backprop. wait()
-// blocks only for whatever the overlap failed to hide; the hidden vs
-// exposed split is recorded in the obs registry (comm/hidden/r{r},
-// comm/exposed/r{r}, comm/buckets, comm/overlap_fraction/r{r}).
+// blocks only for whatever the overlap failed to hide; each rank's
+// hidden vs exposed split is kept in the communicator's own per-rank
+// Stats (RankHandle::hidden_comm_time() / exposed_comm_time()).
 #pragma once
 
 #include <condition_variable>
@@ -112,16 +112,14 @@ class RankHandle {
   /// Averaged scalar (validation-loss averaging).
   double allreduce_average_scalar(double value);
 
-  /// Wall-clock spent inside collectives on this rank — a snapshot of
-  /// the `comm/collective/r<rank>` Stat in the obs registry (each
-  /// MlComm resets its ranks' stats at construction). Async buckets
-  /// contribute only their *exposed* (blocked-in-wait) portion here.
+  /// Wall-clock spent inside this communicator's collectives on this
+  /// rank. Async buckets contribute only their *exposed*
+  /// (blocked-in-wait) portion here.
   runtime::TimeStats comm_time() const;
   void reset_comm_time();
 
   /// Async-bucket time this rank spent blocked in wait() (exposed on
-  /// the critical path) vs hidden behind compute — snapshots of the
-  /// comm/exposed/r<rank> and comm/hidden/r<rank> Stats.
+  /// the critical path) vs hidden behind compute.
   runtime::TimeStats exposed_comm_time() const;
   runtime::TimeStats hidden_comm_time() const;
 
@@ -196,15 +194,13 @@ class MlComm {
   std::thread helper_;          // started lazily on the first post
   bool helper_stop_ = false;
 
-  // Telemetry handles (obs registry), looked up once at construction.
-  std::vector<obs::Stat*> comm_stats_;     // comm/collective/r<rank>
-  std::vector<obs::Stat*> exposed_stats_;  // comm/exposed/r<rank>
-  std::vector<obs::Stat*> hidden_stats_;   // comm/hidden/r<rank>
-  std::vector<obs::Gauge*> overlap_gauges_;  // comm/overlap_fraction/r<r>
-  obs::Counter* allreduce_calls_ = nullptr;
-  obs::Counter* allreduce_bytes_ = nullptr;
-  obs::Counter* allreduce_chunks_ = nullptr;
-  obs::Counter* bucket_count_ = nullptr;
+  /// One rank's timing, read through its RankHandle.
+  struct RankStats {
+    obs::Stat collective;  // sync collectives + exposed async waits
+    obs::Stat exposed;     // async-bucket time blocked in wait()
+    obs::Stat hidden;      // async-bucket service time behind compute
+  };
+  std::vector<RankStats> rank_stats_;  // one per rank, sized once
 };
 
 }  // namespace cf::comm

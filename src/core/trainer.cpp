@@ -15,6 +15,38 @@ namespace cf::core {
 
 using tensor::Tensor;
 
+namespace {
+
+/// Cumulative stage seconds by category: the dnn kinds summed over
+/// `ctx`'s profile rows, plus the optimizer, communication and I/O-wait
+/// totals. breakdown() reports this map for rank 0, and the step log
+/// records its per-step deltas. The dnn keys are seeded: the fusion
+/// pass removes standalone activation layers, but the key set — and so
+/// the step-log schema and breakdown() — must not depend on fusion.
+std::map<std::string, double> category_seconds(const dnn::ExecContext& ctx,
+                                               double optimizer,
+                                               double comm,
+                                               double comm_hidden,
+                                               double io_wait) {
+  std::map<std::string, double> seconds = {{"conv", 0.0},
+                                           {"pool", 0.0},
+                                           {"dense", 0.0},
+                                           {"activation", 0.0},
+                                           {"reorder", 0.0}};
+  for (const dnn::LayerProfile& profile : ctx.profiles()) {
+    seconds[profile.kind] += profile.fwd.total() +
+                             profile.bwd_data.total() +
+                             profile.bwd_weights.total();
+  }
+  seconds["optimizer"] = optimizer;
+  seconds["comm"] = comm;
+  seconds["comm_hidden"] = comm_hidden;
+  seconds["io_wait"] = io_wait;
+  return seconds;
+}
+
+}  // namespace
+
 Trainer::Trainer(TopologyConfig topology, const data::SampleSource& train,
                  const data::SampleSource& val, TrainerConfig config)
     : topology_(std::move(topology)),
@@ -66,12 +98,8 @@ void Trainer::rank_body(comm::RankHandle& rank,
   const std::size_t threads_per_rank = resolved_threads_per_rank();
   runtime::ThreadPool pool(threads_per_rank);
 
-  obs::Registry& registry = obs::Registry::global();
-  obs::Stat& opt_stat =
-      registry.stat("trainer/optimizer/r" + std::to_string(r));
-  obs::Stat& step_stat = registry.stat("trainer/step/r" + std::to_string(r));
-  opt_stat.reset();
-  step_stat.reset();
+  obs::Stat opt_stat;
+  obs::Stat step_stat;
 
   // Build this rank's replica; every rank uses the same init seed and
   // rank 0 broadcasts anyway (the Algorithm 2 preamble).
@@ -132,40 +160,17 @@ void Trainer::rank_body(comm::RankHandle& rank,
     }
   };
 
-  // Pipelines carry per-rank metric prefixes so each rank's unhidden
-  // I/O wait is its own registry Stat (`data/pipeline/r<r>/train/wait`).
-  data::PipelineConfig train_pipe_cfg = config_.pipeline;
-  train_pipe_cfg.metric_prefix =
-      config_.pipeline.metric_prefix + "/r" + std::to_string(r) + "/train";
-  data::PipelineConfig val_pipe_cfg = config_.pipeline;
-  val_pipe_cfg.metric_prefix =
-      config_.pipeline.metric_prefix + "/r" + std::to_string(r) + "/val";
-  data::Pipeline train_pipeline(train, train_pipe_cfg);
-  data::Pipeline val_pipeline(val, val_pipe_cfg);
+  data::Pipeline train_pipeline(train, config_.pipeline);
+  data::Pipeline val_pipeline(val, config_.pipeline);
 
-  // This rank's cumulative stage seconds by category — the quantity
-  // breakdown() reports for rank 0. Step/epoch JSONL records log
-  // *deltas* of these totals, so summing a rank's records telescopes
-  // back to the totals exactly.
+  // This rank's cumulative stage seconds by category. Step/epoch JSONL
+  // records log *deltas* of these totals, so summing a rank's records
+  // telescopes back to the totals exactly.
   const auto category_totals = [&] {
-    // Seed the dnn category keys: the fusion pass removes standalone
-    // activation layers, but the key set — and so the step-log schema
-    // and breakdown() — must not depend on fusion.
-    std::map<std::string, double> totals = {{"conv", 0.0},
-                                            {"pool", 0.0},
-                                            {"dense", 0.0},
-                                            {"activation", 0.0},
-                                            {"reorder", 0.0}};
-    for (const dnn::LayerProfile& profile : ctx.profiles()) {
-      totals[profile.kind] += profile.fwd.total() +
-                              profile.bwd_data.total() +
-                              profile.bwd_weights.total();
-    }
-    totals["optimizer"] = opt_stat.snapshot().total();
-    totals["comm"] = rank.comm_time().total();
-    totals["comm_hidden"] = rank.hidden_comm_time().total();
-    totals["io_wait"] = train_pipeline.wait_time().total();
-    return totals;
+    return category_seconds(ctx, opt_stat.snapshot().total(),
+                            rank.comm_time().total(),
+                            rank.hidden_comm_time().total(),
+                            train_pipeline.wait_time().total());
   };
   // Baseline captured before the initial broadcast so the first step's
   // comm delta charges for it.
@@ -373,8 +378,8 @@ void Trainer::rank_body(comm::RankHandle& rank,
   }
 
   if (r == 0) {
-    // Snapshot the registry-backed stats so breakdown() keeps its
-    // answer even if a later run registers over the same names.
+    // The Stats, the pipelines and the communicator end with the run;
+    // breakdown() reads these copies.
     optimizer_time_ = opt_stat.snapshot();
     io_wait_time_ = train_pipeline.wait_time();
     comm_time_ = rank.comm_time();
@@ -459,23 +464,11 @@ std::vector<Prediction> Trainer::evaluate(const data::SampleSource& source) {
 CategoryBreakdown Trainer::breakdown() const {
   if (!ran_) throw std::logic_error("Trainer::breakdown: run() first");
   CategoryBreakdown breakdown;
-  // Same fixed dnn category keys as the per-step totals (the JSONL
-  // records must telescope to this map key-for-key, fused or not).
-  breakdown.seconds = {{"conv", 0.0},
-                       {"pool", 0.0},
-                       {"dense", 0.0},
-                       {"activation", 0.0},
-                       {"reorder", 0.0}};
-  const dnn::ExecContext& ctx = *contexts_.front();
-  for (const dnn::LayerProfile& profile : ctx.profiles()) {
-    breakdown.seconds[profile.kind] += profile.fwd.total() +
-                                       profile.bwd_data.total() +
-                                       profile.bwd_weights.total();
-  }
-  breakdown.seconds["optimizer"] = optimizer_time_.total();
-  breakdown.seconds["comm"] = comm_time_.total();
-  breakdown.seconds["comm_hidden"] = hidden_comm_time_.total();
-  breakdown.seconds["io_wait"] = io_wait_time_.total();
+  // The same map the per-step totals come from, so the JSONL records
+  // telescope to it key for key, fused or not.
+  breakdown.seconds = category_seconds(
+      *contexts_.front(), optimizer_time_.total(), comm_time_.total(),
+      hidden_comm_time_.total(), io_wait_time_.total());
   breakdown.total = train_walltime_;
   const double hidden = hidden_comm_time_.total();
   const double exposed = exposed_comm_time_.total();

@@ -177,8 +177,8 @@ class Trainer {
   std::vector<EpochStats> stats_;
   std::unique_ptr<obs::JsonlSink> step_log_;
   std::unique_ptr<runtime::ThreadPool> inference_pool_;
-  // Rank-0 snapshots of the obs registry stats, taken when rank 0
-  // leaves rank_body so breakdown() stays stable afterwards.
+  // Rank 0's stats, copied when rank 0 leaves rank_body: the Stats,
+  // pipelines and communicator that held them end with the run.
   runtime::TimeStats optimizer_time_;
   runtime::TimeStats io_wait_time_;
   runtime::TimeStats comm_time_;

@@ -15,11 +15,6 @@ Pipeline::Pipeline(const SampleSource& source, PipelineConfig config)
     throw std::invalid_argument(
         "Pipeline: queue capacity and io_threads must be positive");
   }
-  obs::Registry& registry = obs::Registry::global();
-  wait_stat_ = &registry.stat(config_.metric_prefix + "/wait");
-  wait_stat_->reset();  // a new pipeline starts a fresh measurement
-  samples_counter_ = &registry.counter("data/pipeline/samples_prefetched");
-  bytes_counter_ = &registry.counter("data/pipeline/bytes_prefetched");
   ring_.resize(config_.queue_capacity);
   producers_.reserve(config_.io_threads);
   for (std::size_t t = 0; t < config_.io_threads; ++t) {
@@ -52,7 +47,7 @@ void Pipeline::start_epoch(std::vector<std::size_t> indices) {
 
 bool Pipeline::next(Sample& out) {
   CF_TRACE_SCOPE("io/wait_sample", "io");
-  const obs::ScopedStatTimer timer(*wait_stat_);
+  const obs::ScopedStatTimer timer(wait_stat_);
   std::unique_lock lock(mutex_);
   if (consumed_ == indices_.size()) return false;  // epoch exhausted
   Slot& slot = ring_[consumed_ % config_.queue_capacity];
@@ -108,9 +103,6 @@ void Pipeline::producer_loop(std::size_t /*thread_index*/) {
             config_.injected_read_delay));
       }
     }
-    samples_counter_->add(1);
-    bytes_counter_->add(static_cast<std::int64_t>(
-        sample.volume.size() * sizeof(float) + sizeof(sample.target)));
     {
       std::unique_lock lock(mutex_);
       // Backpressure: at most queue_capacity positions may be in

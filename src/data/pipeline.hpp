@@ -44,10 +44,9 @@ struct PipelineConfig {
   /// Injected per-read delay in seconds (filesystem model hook for the
   /// I/O experiments); 0 disables.
   double injected_read_delay = 0.0;
-  /// obs registry prefix for this pipeline's metrics; the consumer
-  /// wait Stat is `<metric_prefix>/wait` (reset at construction). The
-  /// Trainer names its pipelines per rank and split, e.g.
-  /// `data/pipeline/r0/train`.
+  /// Unread: each Pipeline owns its wait Stat (wait_time()). Kept only
+  /// because cfbench, the repo's benchmark harness, still assigns it;
+  /// it goes once the benchmark stops doing so.
   std::string metric_prefix = "data/pipeline";
 };
 
@@ -69,10 +68,9 @@ class Pipeline {
   /// and must not hold references into the buffer they passed in.
   bool next(Sample& out);
 
-  /// Time spent blocked inside next() (unhidden I/O) — a snapshot of
-  /// the `<metric_prefix>/wait` Stat in the obs registry.
-  runtime::TimeStats wait_time() const { return wait_stat_->snapshot(); }
-  void reset_wait_time() { wait_stat_->reset(); }
+  /// Time this pipeline's consumer spent blocked inside next()
+  /// (unhidden I/O).
+  runtime::TimeStats wait_time() const { return wait_stat_.snapshot(); }
 
  private:
   void producer_loop(std::size_t thread_index);
@@ -101,9 +99,7 @@ class Pipeline {
   std::size_t epoch_ = 0;
   bool stopping_ = false;
 
-  obs::Stat* wait_stat_ = nullptr;        // <metric_prefix>/wait
-  obs::Counter* samples_counter_ = nullptr;  // data/pipeline/samples_prefetched
-  obs::Counter* bytes_counter_ = nullptr;    // data/pipeline/bytes_prefetched
+  obs::Stat wait_stat_;
   std::vector<std::thread> producers_;
 };
 

@@ -57,10 +57,6 @@ FilesystemModel::FilesystemModel(FilesystemSpec spec)
       spec_.node_max_gbps <= 0.0 || spec_.straggler_sigma < 0.0) {
     throw std::invalid_argument("FilesystemModel: bad spec");
   }
-  obs::Registry& registry = obs::Registry::global();
-  reads_counter_ = &registry.counter("iosim/reads_sampled");
-  stalls_counter_ = &registry.counter("iosim/straggler_stalls");
-  stall_stat_ = &registry.stat("iosim/stall_seconds");
 }
 
 double FilesystemModel::aggregate_bandwidth_gbps(int nodes) const {
@@ -83,20 +79,12 @@ double FilesystemModel::read_seconds(int nodes, double mbytes) const {
 
 double FilesystemModel::sample_read_seconds(int nodes, double mbytes,
                                             runtime::Rng& rng) const {
-  reads_counter_->add(1);
   const double expected = read_seconds(nodes, mbytes);
   if (spec_.straggler_sigma == 0.0) return expected;
   // Lognormal with unit mean: exp(sigma * z - sigma^2 / 2).
   const double sigma = spec_.straggler_sigma;
   const double z = rng.normal();
-  const double sampled = expected * std::exp(sigma * z - 0.5 * sigma * sigma);
-  // A read 50% over expectation counts as a straggler stall — the tail
-  // the paper blames for uneven OST delivery (§VI-A).
-  if (sampled > 1.5 * expected) {
-    stalls_counter_->add(1);
-    stall_stat_->add(sampled - expected);
-  }
-  return sampled;
+  return expected * std::exp(sigma * z - 0.5 * sigma * sigma);
 }
 
 double bw_min_mb_per_s(double batch_per_node, double sample_mbytes,

@@ -21,7 +21,6 @@
 
 #include <string>
 
-#include "obs/metrics.hpp"
 #include "runtime/rng.hpp"
 
 namespace cf::iosim {
@@ -71,10 +70,6 @@ class FilesystemModel {
 
  private:
   FilesystemSpec spec_;
-  // Telemetry handles (obs registry), looked up once at construction.
-  obs::Counter* reads_counter_ = nullptr;     // iosim/reads_sampled
-  obs::Counter* stalls_counter_ = nullptr;    // iosim/straggler_stalls
-  obs::Stat* stall_stat_ = nullptr;           // iosim/stall_seconds
 };
 
 /// Eq. 1 of the paper: the minimum per-node read bandwidth that hides

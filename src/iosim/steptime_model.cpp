@@ -59,9 +59,6 @@ std::vector<ScalingPoint> StepTimeModel::sweep(
     const std::vector<int>& node_counts, std::int64_t train_samples,
     std::int64_t val_samples, double flops_per_sample) const {
   CF_TRACE_SCOPE("iosim/sweep", "iosim");
-  obs::Registry::global()
-      .counter("iosim/sweep_points")
-      .add(static_cast<std::int64_t>(node_counts.size()));
   std::vector<ScalingPoint> points;
   points.reserve(node_counts.size());
   const double epoch1 = epoch_seconds(1, train_samples, val_samples);

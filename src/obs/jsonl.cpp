@@ -2,7 +2,7 @@
 
 namespace cf::obs {
 
-namespace json {
+namespace {
 
 void append_double(std::string& out, double value) {
   char buffer[32];
@@ -40,17 +40,17 @@ void append_quoted(std::string& out, std::string_view s) {
   out += '"';
 }
 
-}  // namespace json
+}  // namespace
 
 void JsonObject::key(std::string_view k) {
   if (body_.size() > 1) body_ += ',';
-  json::append_quoted(body_, k);
+  append_quoted(body_, k);
   body_ += ':';
 }
 
 JsonObject& JsonObject::field(std::string_view k, double value) {
   key(k);
-  json::append_double(body_, value);
+  append_double(body_, value);
   return *this;
 }
 
@@ -62,7 +62,7 @@ JsonObject& JsonObject::field(std::string_view k, std::int64_t value) {
 
 JsonObject& JsonObject::field(std::string_view k, std::string_view value) {
   key(k);
-  json::append_quoted(body_, value);
+  append_quoted(body_, value);
   return *this;
 }
 

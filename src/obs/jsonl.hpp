@@ -16,15 +16,6 @@
 
 namespace cf::obs {
 
-namespace json {
-
-/// Shortest round-trippable double representation; deterministic.
-void append_double(std::string& out, double value);
-/// Appends `s` quoted, escaping backslashes, quotes and control bytes.
-void append_quoted(std::string& out, std::string_view s);
-
-}  // namespace json
-
 /// Builder for one flat JSON object; fields keep insertion order.
 class JsonObject {
  public:

@@ -3,49 +3,7 @@
 #include <cmath>
 #include <limits>
 
-#include "obs/jsonl.hpp"
-
 namespace cf::obs {
-
-Registry& Registry::global() {
-  static Registry* registry = new Registry();  // leaked: outlives threads
-  return *registry;
-}
-
-namespace {
-
-template <typename Map>
-auto& find_or_create(Map& map, std::string_view name, std::mutex& mutex) {
-  const std::lock_guard<std::mutex> lock(mutex);
-  auto it = map.find(name);
-  if (it == map.end()) {
-    it = map.emplace(std::string(name),
-                     std::make_unique<typename Map::mapped_type::element_type>())
-             .first;
-  }
-  return *it->second;
-}
-
-using json::append_double;
-using json::append_quoted;
-
-}  // namespace
-
-Counter& Registry::counter(std::string_view name) {
-  return find_or_create(counters_, name, mutex_);
-}
-
-Gauge& Registry::gauge(std::string_view name) {
-  return find_or_create(gauges_, name, mutex_);
-}
-
-Stat& Registry::stat(std::string_view name) {
-  return find_or_create(stats_, name, mutex_);
-}
-
-Histogram& Registry::histogram(std::string_view name) {
-  return find_or_create(histograms_, name, mutex_);
-}
 
 double HistogramSnapshot::percentile(double q) const noexcept {
   if (count == 0) return 0.0;
@@ -100,118 +58,6 @@ void Histogram::reset() noexcept {
              std::memory_order_relaxed);
   max_.store(-std::numeric_limits<double>::infinity(),
              std::memory_order_relaxed);
-}
-
-MetricsSnapshot Registry::snapshot() const {
-  MetricsSnapshot snap;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [name, counter] : counters_) {
-    snap.counters.emplace(name, counter->value());
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    snap.gauges.emplace(name, gauge->value());
-  }
-  for (const auto& [name, histogram] : histograms_) {
-    snap.histograms.emplace(name, histogram->snapshot());
-  }
-  for (const auto& [name, stat] : stats_) {
-    snap.stats.emplace(name, stat->snapshot());
-  }
-  return snap;
-}
-
-void Registry::reset() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [name, counter] : counters_) counter->reset();
-  for (auto& [name, gauge] : gauges_) gauge->reset();
-  for (auto& [name, histogram] : histograms_) histogram->reset();
-  for (auto& [name, stat] : stats_) stat->reset();
-}
-
-void Registry::reset_prefix(std::string_view prefix) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto matches = [&](const std::string& name) {
-    return name.size() >= prefix.size() &&
-           std::string_view(name).substr(0, prefix.size()) == prefix;
-  };
-  for (auto& [name, counter] : counters_) {
-    if (matches(name)) counter->reset();
-  }
-  for (auto& [name, gauge] : gauges_) {
-    if (matches(name)) gauge->reset();
-  }
-  for (auto& [name, histogram] : histograms_) {
-    if (matches(name)) histogram->reset();
-  }
-  for (auto& [name, stat] : stats_) {
-    if (matches(name)) stat->reset();
-  }
-}
-
-std::string Registry::to_json() const {
-  const MetricsSnapshot snap = snapshot();
-  std::string out = "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : snap.counters) {
-    if (!first) out += ',';
-    first = false;
-    append_quoted(out, name);
-    out += ':';
-    out += std::to_string(value);
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : snap.gauges) {
-    if (!first) out += ',';
-    first = false;
-    append_quoted(out, name);
-    out += ':';
-    append_double(out, value);
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, hist] : snap.histograms) {
-    if (!first) out += ',';
-    first = false;
-    append_quoted(out, name);
-    out += ":{\"count\":";
-    out += std::to_string(hist.count);
-    out += ",\"sum\":";
-    append_double(out, hist.sum);
-    out += ",\"min\":";
-    append_double(out, hist.min);
-    out += ",\"max\":";
-    append_double(out, hist.max);
-    out += ",\"mean\":";
-    append_double(out, hist.mean());
-    out += ",\"p50\":";
-    append_double(out, hist.percentile(0.50));
-    out += ",\"p99\":";
-    append_double(out, hist.percentile(0.99));
-    out += ",\"p999\":";
-    append_double(out, hist.percentile(0.999));
-    out += '}';
-  }
-  out += "},\"stats\":{";
-  first = true;
-  for (const auto& [name, stats] : snap.stats) {
-    if (!first) out += ',';
-    first = false;
-    append_quoted(out, name);
-    out += ":{\"count\":";
-    out += std::to_string(stats.count());
-    out += ",\"total\":";
-    append_double(out, stats.total());
-    out += ",\"min\":";
-    append_double(out, stats.min());
-    out += ",\"max\":";
-    append_double(out, stats.max());
-    out += ",\"mean\":";
-    append_double(out, stats.mean());
-    out += '}';
-  }
-  out += "}}";
-  return out;
 }
 
 }  // namespace cf::obs

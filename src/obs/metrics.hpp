@@ -1,16 +1,17 @@
-// cf::obs metrics registry — named counters, gauges, stats and
-// histograms.
+// cf::obs metrics — counters, stats and histograms, each owned by the
+// object it measures.
 //
 // The paper's evidence is instrumentation (Fig 3's stage breakdown,
-// Table I's per-layer costs, Fig 4's scaling study); this registry is
-// the single authoritative store those views read from. Four metric
-// kinds:
+// Table I's per-layer costs, §III-D's hidden vs exposed allreduce
+// time). An instrumented object holds these instruments as members and
+// hands out snapshots through its own accessors (RankHandle::
+// comm_time(), Pipeline::wait_time(), Server::latency(), …), so two
+// instances never share, reset or overwrite each other's figures.
+// There is no process-wide store. Three kinds:
 //
-//  * Counter — monotonically increasing 64-bit integer (bytes read,
-//    samples prefetched, allreduce chunks, straggler stalls). Lock-free
-//    relaxed atomics: safe to bump from ThreadPool::parallel_for bodies
-//    and pipeline producer threads.
-//  * Gauge — last-write-wins double (current lr, queue depth).
+//  * Counter — monotonically increasing 64-bit integer (accepted,
+//    rejected and completed requests). Lock-free relaxed atomics: safe
+//    to bump from any thread.
 //  * Stat — an aggregated distribution of observations (seconds,
 //    usually): count/total/min/max/stddev, i.e. a thread-safe
 //    runtime::TimeStats. Collectives, optimizer steps and pipeline
@@ -23,10 +24,6 @@
 //    relaxed atomics per bucket, same concurrency contract as Counter.
 //    Alongside the buckets it tracks exact count/sum/min/max, so the
 //    ~12%-resolution percentile estimates ship with exact anchors.
-//
-// Handles returned by the registry are stable for the process lifetime
-// (metrics are never deleted, only reset), so instrumented components
-// look a name up once and record through the pointer on the hot path.
 #pragma once
 
 #include <array>
@@ -34,11 +31,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <memory>
 #include <mutex>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "runtime/timer.hpp"
@@ -59,19 +52,6 @@ class Counter {
 
  private:
   std::atomic<std::int64_t> value_{0};
-};
-
-/// Last-write-wins double.
-class Gauge {
- public:
-  void set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }
-  double value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void reset() noexcept { value_.store(0.0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
 };
 
 /// Thread-safe observation aggregate (a mutex-guarded TimeStats).
@@ -178,49 +158,6 @@ class Histogram {
   std::atomic<double> sum_{0.0};
   std::atomic<double> min_{std::numeric_limits<double>::infinity()};
   std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
-};
-
-/// Point-in-time copy of every registered metric.
-struct MetricsSnapshot {
-  std::map<std::string, std::int64_t> counters;
-  std::map<std::string, double> gauges;
-  std::map<std::string, HistogramSnapshot> histograms;
-  std::map<std::string, runtime::TimeStats> stats;
-};
-
-class Registry {
- public:
-  /// Process-wide registry; every instrumented module records here.
-  static Registry& global();
-
-  Registry() = default;
-  Registry(const Registry&) = delete;
-  Registry& operator=(const Registry&) = delete;
-
-  /// Find-or-create. The returned reference never moves.
-  Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
-  Stat& stat(std::string_view name);
-  Histogram& histogram(std::string_view name);
-
-  MetricsSnapshot snapshot() const;
-
-  /// Zeroes every metric (registrations and handles survive).
-  void reset();
-  /// Zeroes metrics whose name starts with `prefix`.
-  void reset_prefix(std::string_view prefix);
-
-  /// Deterministic JSON dump: names sorted, fixed formatting. Schema
-  /// documented in OBSERVABILITY.md.
-  std::string to_json() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>>
-      histograms_;
-  std::map<std::string, std::unique_ptr<Stat>, std::less<>> stats_;
 };
 
 }  // namespace cf::obs

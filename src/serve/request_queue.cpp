@@ -14,8 +14,8 @@ std::string_view to_string(SubmitStatus status) noexcept {
   return "unknown";
 }
 
-RequestQueue::RequestQueue(std::size_t capacity, obs::Gauge* depth_gauge)
-    : capacity_(capacity == 0 ? 1 : capacity), depth_gauge_(depth_gauge) {}
+RequestQueue::RequestQueue(std::size_t capacity)
+    : capacity_(capacity == 0 ? 1 : capacity) {}
 
 SubmitStatus RequestQueue::try_push(Request&& request) {
   {
@@ -23,7 +23,6 @@ SubmitStatus RequestQueue::try_push(Request&& request) {
     if (closed_) return SubmitStatus::kShutdown;
     if (items_.size() >= capacity_) return SubmitStatus::kOverloaded;
     items_.push_back(std::move(request));
-    update_gauge_locked();
   }
   not_empty_.notify_one();
   return SubmitStatus::kAccepted;
@@ -35,7 +34,6 @@ bool RequestQueue::pop(Request* out) {
   if (items_.empty()) return false;  // closed and drained
   *out = std::move(items_.front());
   items_.pop_front();
-  update_gauge_locked();
   return true;
 }
 
@@ -50,12 +48,6 @@ void RequestQueue::close() {
 std::size_t RequestQueue::depth() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return items_.size();
-}
-
-void RequestQueue::update_gauge_locked() {
-  if (depth_gauge_ != nullptr) {
-    depth_gauge_->set(static_cast<double>(items_.size()));
-  }
 }
 
 }  // namespace cf::serve

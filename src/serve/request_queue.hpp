@@ -22,7 +22,6 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "tensor/tensor.hpp"
 
 namespace cf::serve {
@@ -57,9 +56,7 @@ struct Request {
 
 class RequestQueue {
  public:
-  /// `depth_gauge` (optional) tracks the live queue depth.
-  explicit RequestQueue(std::size_t capacity,
-                        obs::Gauge* depth_gauge = nullptr);
+  explicit RequestQueue(std::size_t capacity);
 
   RequestQueue(const RequestQueue&) = delete;
   RequestQueue& operator=(const RequestQueue&) = delete;
@@ -81,14 +78,11 @@ class RequestQueue {
   std::size_t depth() const;
 
  private:
-  void update_gauge_locked();
-
   mutable std::mutex mutex_;
   std::condition_variable not_empty_;
   std::deque<Request> items_;
   const std::size_t capacity_;
   bool closed_ = false;
-  obs::Gauge* depth_gauge_ = nullptr;
 };
 
 }  // namespace cf::serve

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/telemetry.hpp"
@@ -32,9 +33,7 @@ Server::Server(std::shared_ptr<const dnn::Network> network,
                ServerConfig config)
     : network_(std::move(network)),
       config_(sanitized(std::move(config))),
-      queue_(config_.queue_capacity,
-             &obs::Registry::global().gauge(config_.metric_prefix +
-                                            "/queue_depth")) {
+      queue_(config_.queue_capacity) {
   if (network_ == nullptr || !network_->finalized()) {
     throw std::invalid_argument(
         "serve::Server: requires a finalized Network");
@@ -56,23 +55,6 @@ Server::Server(std::shared_ptr<const dnn::Network> network,
     config_.threads_per_worker = intraop_plan_.threads_per_stream;
     intraop_auto_ = true;
   }
-  auto& reg = obs::Registry::global();
-  // Each server instance measures from zero, like a Pipeline does for
-  // its metric_prefix.
-  reg.reset_prefix(config_.metric_prefix + "/");
-  accepted_ = &reg.counter(config_.metric_prefix + "/accepted");
-  rejected_ = &reg.counter(config_.metric_prefix + "/rejected");
-  completed_ = &reg.counter(config_.metric_prefix + "/completed");
-  queue_wait_stat_ = &reg.stat(config_.metric_prefix + "/queue_wait");
-  compute_stat_ = &reg.stat(config_.metric_prefix + "/compute");
-  latency_hist_ = &reg.histogram(config_.metric_prefix + "/latency");
-  reg.gauge(config_.metric_prefix + "/workers")
-      .set(static_cast<double>(config_.workers));
-  reg.gauge(config_.metric_prefix + "/threads_per_worker")
-      .set(static_cast<double>(config_.threads_per_worker));
-  reg.gauge(config_.metric_prefix + "/precision")
-      .set(static_cast<double>(config_.precision));
-
   workers_.reserve(config_.workers);
   for (std::size_t i = 0; i < config_.workers; ++i) {
     workers_.emplace_back(&Server::worker_loop, this, i);
@@ -96,10 +78,10 @@ SubmitStatus Server::submit(tensor::Tensor input,
 
   const SubmitStatus status = queue_.try_push(std::move(request));
   if (status == SubmitStatus::kAccepted) {
-    accepted_->add();
+    accepted_.add();
     if (result != nullptr) *result = std::move(future);
   } else if (status == SubmitStatus::kOverloaded) {
-    rejected_->add();
+    rejected_.add();
   }
   return status;
 }
@@ -135,10 +117,8 @@ void Server::worker_loop(std::size_t worker_index) {
       result.compute_seconds = compute_watch.elapsed_seconds();
       result.total_seconds =
           seconds_between(request.submit_time, Clock::now());
-      queue_wait_stat_->add(result.queue_seconds);
-      compute_stat_->add(result.compute_seconds);
-      latency_hist_->add(result.total_seconds);
-      completed_->add();
+      latency_.add(result.total_seconds);
+      completed_.add();
       request.promise.set_value(std::move(result));
     } catch (...) {
       request.promise.set_exception(std::current_exception());

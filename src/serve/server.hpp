@@ -18,10 +18,10 @@
 // order-deterministic (§2.1) and a context's forward fully overwrites
 // its arenas. tests/serve_test pins this.
 //
-// Everything is instrumented through cf::obs under
-// `<metric_prefix>/…` (default `serve/…`): end-to-end latency
-// histogram (p50/p99/p999), queue-depth gauge, accepted/rejected/
-// completed counters. See OBSERVABILITY.md.
+// Each Server counts its own accepted, rejected and completed requests
+// and keeps its own end-to-end latency histogram (p50/p99/p999), read
+// through the accessors below; every InferenceResult carries its
+// request's queue/compute/total split. See OBSERVABILITY.md.
 #pragma once
 
 #include <atomic>
@@ -30,7 +30,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -55,9 +54,6 @@ struct ServerConfig {
   /// rejected with SubmitStatus::kOverloaded. Besides the queue, each
   /// worker holds the one request it is running.
   std::size_t queue_capacity = 64;
-  /// obs registry prefix for this server's metrics (reset at
-  /// construction, like cf::data::Pipeline's metric_prefix).
-  std::string metric_prefix = "serve";
   /// Inference precision for every worker context (DESIGN.md §2.5).
   /// Non-fp32 requires the shared Network to have been prepared via
   /// prepare_inference_precision before the server is built; the
@@ -92,6 +88,14 @@ class Server {
   const ServerConfig& config() const noexcept { return config_; }
   const dnn::Network& network() const noexcept { return *network_; }
 
+  /// Submissions this server admitted / shed with kOverloaded.
+  std::int64_t accepted() const noexcept { return accepted_.value(); }
+  std::int64_t rejected() const noexcept { return rejected_.value(); }
+  /// Requests whose forward finished; one that threw is not completed.
+  std::int64_t completed() const noexcept { return completed_.value(); }
+  /// End-to-end submit→result seconds of the completed requests.
+  obs::HistogramSnapshot latency() const { return latency_.snapshot(); }
+
  private:
   void worker_loop(std::size_t worker_index);
 
@@ -105,13 +109,10 @@ class Server {
   dnn::IntraopPlan intraop_plan_;
   bool intraop_auto_ = false;
 
-  // Metric handles, resolved once at construction (OBSERVABILITY.md).
-  obs::Counter* accepted_ = nullptr;
-  obs::Counter* rejected_ = nullptr;
-  obs::Counter* completed_ = nullptr;
-  obs::Stat* queue_wait_stat_ = nullptr;
-  obs::Stat* compute_stat_ = nullptr;
-  obs::Histogram* latency_hist_ = nullptr;
+  obs::Counter accepted_;
+  obs::Counter rejected_;
+  obs::Counter completed_;
+  obs::Histogram latency_;
 
   std::atomic<std::uint64_t> next_request_id_{0};
 

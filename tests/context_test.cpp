@@ -17,7 +17,6 @@
 #include "core/dataset_gen.hpp"
 #include "core/topology.hpp"
 #include "core/trainer.hpp"
-#include "dnn/cost_model.hpp"
 #include "dnn/network.hpp"
 #include "obs/telemetry.hpp"
 #include "runtime/rng.hpp"
@@ -226,23 +225,6 @@ TEST(Context, ProfilesAndSpansAreOneMeasurement) {
     if (net.segment_size(i) > 0) ++parameterized;
   }
   EXPECT_EQ(passes, 2 * net.layer_count() - 1 + parameterized);
-}
-
-// --- Stats are kept per instance: building contexts, preparing bf16
-// and applying an intra-op plan publish no process-global dnn/ gauge
-// for the last-built object to overwrite. ---
-
-TEST(Context, PublishesNoProcessGlobalGauges) {
-  dnn::Network net = core::build_network(core::cosmoflow_scaled(8), 9);
-  dnn::ExecContext train_ctx = net.make_context(dnn::ExecMode::kTraining);
-  dnn::ExecContext infer_ctx = net.make_context(dnn::ExecMode::kInference);
-  net.prepare_inference_precision(dnn::Precision::kBf16);
-  dnn::ExecContext bf16_ctx =
-      net.make_context(dnn::ExecMode::kInference, dnn::Precision::kBf16);
-  infer_ctx.apply_intraop(dnn::CostModel(net).choose(2));
-  for (const auto& [name, value] : obs::Registry::global().snapshot().gauges) {
-    EXPECT_FALSE(name.starts_with("dnn/")) << name << " = " << value;
-  }
 }
 
 // --- The split does not move a single training bit: whole

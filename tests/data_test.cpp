@@ -561,6 +561,32 @@ TEST(Pipeline, TracksWaitTime) {
   EXPECT_GT(pipeline.wait_time().total(), 0.005);
 }
 
+// Each pipeline owns its wait Stat: building and draining a second
+// pipeline with the same config leaves the first one's figure alone.
+TEST(Pipeline, TwoPipelinesKeepTheirOwnWaitTime) {
+  std::vector<Sample> samples;
+  for (int i = 0; i < 4; ++i) samples.push_back(make_sample(650 + i));
+  InMemorySource source(std::move(samples));
+  // Every next() is timed, the one that ends the epoch included.
+  const auto drain = [](Pipeline& pipeline,
+                        std::vector<std::size_t> indices) {
+    pipeline.start_epoch(std::move(indices));
+    Sample sample;
+    while (pipeline.next(sample)) {
+    }
+  };
+
+  Pipeline first(source, PipelineConfig{});
+  drain(first, {0, 1, 2, 3});
+  ASSERT_EQ(first.wait_time().count(), 5u);
+  Pipeline second(source, PipelineConfig{});
+  EXPECT_EQ(first.wait_time().count(), 5u);
+  drain(second, {0, 1});
+
+  EXPECT_EQ(first.wait_time().count(), 5u);
+  EXPECT_EQ(second.wait_time().count(), 3u);
+}
+
 TEST(Pipeline, RejectsBadConfig) {
   InMemorySource source({});
   PipelineConfig bad;

@@ -454,7 +454,6 @@ TEST(GraphResidual, TrainsAndServes) {
   }
   serve::ServerConfig server_config;
   server_config.workers = 2;
-  server_config.metric_prefix = "graph_serve_test";
   serve::Server server(std::shared_ptr<const dnn::Network>(net),
                        server_config);
   std::vector<std::future<serve::InferenceResult>> futures;

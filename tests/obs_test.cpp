@@ -1,5 +1,5 @@
-// Tests for the cf::obs telemetry subsystem: metrics registry
-// (counters / gauges / stats), the span tracer with its per-thread
+// Tests for the cf::obs telemetry subsystem: the counter, stat and
+// histogram instruments, the span tracer with its per-thread
 // rings and deterministic chrome://tracing export, the JSONL sink, and
 // the end-to-end guarantee that the Trainer's per-step JSONL records
 // telescope to Trainer::breakdown().
@@ -25,11 +25,10 @@
 namespace cf::obs {
 namespace {
 
-// --- Metrics registry ------------------------------------------------
+// --- Counter and Stat ------------------------------------------------
 
 TEST(Metrics, CounterAggregatesUnderContention) {
-  Registry registry;
-  Counter& counter = registry.counter("test/contended");
+  Counter counter;
   runtime::ThreadPool pool(4);
   constexpr std::size_t kIters = 100000;
   pool.parallel_for(kIters,
@@ -42,8 +41,7 @@ TEST(Metrics, CounterAggregatesUnderContention) {
 }
 
 TEST(Metrics, StatAggregatesUnderContention) {
-  Registry registry;
-  Stat& stat = registry.stat("test/stat");
+  Stat stat;
   runtime::ThreadPool pool(4);
   constexpr std::size_t kIters = 10000;
   pool.parallel_for(kIters,
@@ -59,47 +57,10 @@ TEST(Metrics, StatAggregatesUnderContention) {
   EXPECT_DOUBLE_EQ(snap.max(), 2.0);
 }
 
-TEST(Metrics, HandlesAreStableAcrossRegistrations) {
-  Registry registry;
-  Counter* first = &registry.counter("stable/a");
-  for (int i = 0; i < 100; ++i) {
-    registry.counter("stable/filler" + std::to_string(i));
-    registry.stat("stable/stat" + std::to_string(i));
-  }
-  EXPECT_EQ(first, &registry.counter("stable/a"));
-}
-
-TEST(Metrics, ResetPrefixZeroesOnlyMatches) {
-  Registry registry;
-  registry.counter("pipe/a").add(3);
-  registry.counter("other/b").add(5);
-  registry.stat("pipe/wait").add(1.0);
-  registry.reset_prefix("pipe/");
-  EXPECT_EQ(registry.counter("pipe/a").value(), 0);
-  EXPECT_EQ(registry.counter("other/b").value(), 5);
-  EXPECT_EQ(registry.stat("pipe/wait").snapshot().count(), 0);
-}
-
-TEST(Metrics, ToJsonIsDeterministic) {
-  Registry registry;
-  registry.counter("c").add(2);
-  registry.gauge("g").set(1.5);
-  Stat& stat = registry.stat("s");
-  stat.add(2.0);
-  stat.add(4.0);
-  const std::string expected =
-      "{\"counters\":{\"c\":2},\"gauges\":{\"g\":1.5},\"histograms\":{},"
-      "\"stats\":{\"s\":{\"count\":2,\"total\":6,\"min\":2,\"max\":4,"
-      "\"mean\":3}}}";
-  EXPECT_EQ(registry.to_json(), expected);
-  EXPECT_EQ(registry.to_json(), expected);  // stable across calls
-}
-
 // --- Histogram -------------------------------------------------------
 
 TEST(Metrics, HistogramPercentilesBoundTheSample) {
-  Registry registry;
-  Histogram& hist = registry.histogram("h");
+  Histogram hist;
   // 1000 observations spread linearly over [1 ms, 100 ms]: p50 ≈ 50 ms,
   // p99 ≈ 99 ms. The log-bucket estimate reports a bucket upper bound,
   // so it is >= the true quantile and within one growth factor of it.
@@ -141,27 +102,21 @@ TEST(Metrics, HistogramClampsOutOfRangeAndResets) {
 }
 
 TEST(Metrics, HistogramExportsExactAnchors) {
-  Registry registry;
-  Histogram& hist = registry.histogram("lat");
+  Histogram hist;
   hist.add(0.25);
   hist.add(1.0);
   hist.add(0.5);
+  // The snapshot carries the exact anchors next to the ~12%-bucket
+  // percentiles, so p99 == p999 at small counts is interpretable.
   const HistogramSnapshot snap = hist.snapshot();
   EXPECT_EQ(snap.count, 3u);
   EXPECT_DOUBLE_EQ(snap.sum, 1.75);
   EXPECT_DOUBLE_EQ(snap.min, 0.25);
   EXPECT_DOUBLE_EQ(snap.max, 1.0);
-  // The stats sink carries the exact anchors next to the ~12%-bucket
-  // percentiles, so p99 == p999 at small counts is interpretable.
-  const std::string json = registry.to_json();
-  EXPECT_NE(json.find("\"sum\":1.75"), std::string::npos);
-  EXPECT_NE(json.find("\"min\":0.25"), std::string::npos);
-  EXPECT_NE(json.find("\"max\":1"), std::string::npos);
 }
 
 TEST(Metrics, HistogramAggregatesUnderContention) {
-  Registry registry;
-  Histogram& hist = registry.histogram("contended");
+  Histogram hist;
   runtime::ThreadPool pool(4);
   constexpr std::size_t kIters = 100000;
   pool.parallel_for(kIters,
@@ -181,18 +136,8 @@ TEST(Metrics, HistogramAggregatesUnderContention) {
   EXPECT_DOUBLE_EQ(snap.max, 1e-3);
 }
 
-TEST(Metrics, ResetPrefixCoversHistograms) {
-  Registry registry;
-  registry.histogram("serve/latency").add(1e-3);
-  registry.histogram("other/latency").add(1e-3);
-  registry.reset_prefix("serve/");
-  EXPECT_EQ(registry.histogram("serve/latency").snapshot().count, 0u);
-  EXPECT_EQ(registry.histogram("other/latency").snapshot().count, 1u);
-}
-
 TEST(Metrics, ScopedStatTimerRecordsOneObservation) {
-  Registry registry;
-  Stat& stat = registry.stat("timed");
+  Stat stat;
   { const ScopedStatTimer timer(stat); }
   const runtime::TimeStats snap = stat.snapshot();
   EXPECT_EQ(snap.count(), 1);

@@ -235,7 +235,6 @@ std::vector<std::vector<std::size_t>> missed_per_epoch(
   PipelineConfig config;
   config.queue_capacity = queue_capacity;
   config.io_threads = io_threads;
-  config.metric_prefix = "data/pipeline/test_pool";
   Pipeline pipeline(source, config);
 
   std::vector<std::size_t> indices(count);
@@ -338,7 +337,6 @@ TEST(DataPath, BytesIdenticalAcrossMmapPoolAndThreadCombos) {
       PipelineConfig config;
       config.queue_capacity = 4;
       config.io_threads = io_threads;
-      config.metric_prefix = "data/pipeline/test_combo";
       Pipeline pipeline(source, config);
       pipeline.start_epoch(indices);
       Sample sample;

@@ -24,7 +24,6 @@
 #include "core/topology.hpp"
 #include "dnn/network.hpp"
 #include "dnn/precision.hpp"
-#include "obs/metrics.hpp"
 #include "runtime/rng.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serve/server.hpp"
@@ -273,7 +272,7 @@ TEST(Precision, ServedBf16MatchesSerialBf16Bits) {
   config.workers = 2;
   config.precision = dnn::Precision::kBf16;
   serve::Server server(network, config);
-  EXPECT_EQ(obs::Registry::global().gauge("serve/precision").value(), 1.0);
+  EXPECT_EQ(server.config().precision, dnn::Precision::kBf16);
   std::vector<std::future<serve::InferenceResult>> futures(inputs.size());
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     ASSERT_EQ(server.submit(inputs[i].clone(), &futures[i]),

@@ -23,7 +23,6 @@
 #include "core/topology.hpp"
 #include "dnn/layer.hpp"
 #include "dnn/network.hpp"
-#include "obs/metrics.hpp"
 #include "runtime/rng.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serve/server.hpp"
@@ -93,7 +92,6 @@ TEST(Serve, OverloadedSubmissionsGetTypedRejection) {
   ServerConfig config;
   config.workers = 1;
   config.queue_capacity = 1;
-  config.metric_prefix = "serve_test_bp";
   Server server(net, config);
 
   // Total absorption before rejection: the queue (1) + the one request
@@ -120,13 +118,9 @@ TEST(Serve, OverloadedSubmissionsGetTypedRejection) {
     EXPECT_FALSE(future.get().output.empty());
   }
   server.shutdown();
-  auto& reg = obs::Registry::global();
-  EXPECT_EQ(reg.counter("serve_test_bp/accepted").value(),
-            static_cast<std::int64_t>(accepted.size()));
-  EXPECT_EQ(reg.counter("serve_test_bp/rejected").value(),
-            static_cast<std::int64_t>(rejected));
-  EXPECT_EQ(reg.counter("serve_test_bp/completed").value(),
-            static_cast<std::int64_t>(accepted.size()));
+  EXPECT_EQ(server.accepted(), static_cast<std::int64_t>(accepted.size()));
+  EXPECT_EQ(server.rejected(), static_cast<std::int64_t>(rejected));
+  EXPECT_EQ(server.completed(), static_cast<std::int64_t>(accepted.size()));
   EXPECT_EQ(accepted.size() + rejected, inputs.size());
 }
 
@@ -172,7 +166,6 @@ TEST(Serve, ConcurrentSubmittersMatchSerialReference) {
     config.threads_per_worker = layout.threads_per_worker;
     config.precision = layout.precision;
     config.queue_capacity = 2;
-    config.metric_prefix = "serve_test_mt";
     Server server(net, config);
 
     std::vector<InferenceResult> actual(inputs.size());
@@ -194,13 +187,9 @@ TEST(Serve, ConcurrentSubmittersMatchSerialReference) {
       EXPECT_LT(actual[i].worker, layout.workers) << name;
       EXPECT_GE(actual[i].total_seconds, actual[i].compute_seconds) << name;
     }
-    auto& reg = obs::Registry::global();
-    EXPECT_EQ(reg.counter("serve_test_mt/completed").value(),
-              static_cast<std::int64_t>(inputs.size()))
+    EXPECT_EQ(server.completed(), static_cast<std::int64_t>(inputs.size()))
         << name;
-    EXPECT_EQ(reg.histogram("serve_test_mt/latency").snapshot().count,
-              inputs.size())
-        << name;
+    EXPECT_EQ(server.latency().count, inputs.size()) << name;
   }
 }
 
@@ -256,7 +245,6 @@ TEST(Serve, ForwardThrowFailsOnlyThatRequest) {
 
   ServerConfig config;
   config.workers = 1;
-  config.metric_prefix = "serve_test_fault";
   Server server(net, config);
   std::vector<std::future<InferenceResult>> futures;
   for (const Tensor& input : inputs) {
@@ -274,9 +262,7 @@ TEST(Serve, ForwardThrowFailsOnlyThatRequest) {
         << "request " << i;
   }
   server.shutdown();
-  EXPECT_EQ(
-      obs::Registry::global().counter("serve_test_fault/completed").value(),
-      static_cast<std::int64_t>(good.size()));
+  EXPECT_EQ(server.completed(), static_cast<std::int64_t>(good.size()));
 }
 
 // --- Shutdown drains: every accepted future resolves, then the door
@@ -286,7 +272,6 @@ TEST(Serve, ShutdownDrainsInFlightRequests) {
   const auto net = make_network(8, 25);
   ServerConfig config;
   config.workers = 1;
-  config.metric_prefix = "serve_test_sd";
   Server server(net, config);
 
   const std::vector<Tensor> inputs = make_inputs(*net, 12, 27);
@@ -303,9 +288,7 @@ TEST(Serve, ShutdownDrainsInFlightRequests) {
         << "request " << i;
     EXPECT_FALSE(futures[i].get().output.empty()) << "request " << i;
   }
-  auto& reg = obs::Registry::global();
-  EXPECT_EQ(reg.counter("serve_test_sd/completed").value(),
-            static_cast<std::int64_t>(inputs.size()));
+  EXPECT_EQ(server.completed(), static_cast<std::int64_t>(inputs.size()));
 
   // The door is closed, and says so.
   std::future<InferenceResult> late;
@@ -321,15 +304,45 @@ TEST(Serve, SubmitRejectsWrongInputShape) {
   const auto net = make_network(8, 3);
   ServerConfig config;
   config.workers = 1;
-  config.metric_prefix = "serve_test_shape";
   Server server(net, config);
   Tensor wrong(tensor::Shape{1, 4, 4, 4});
   wrong.fill(0.0f);
   EXPECT_THROW(server.submit(std::move(wrong), nullptr),
                std::invalid_argument);
-  EXPECT_EQ(
-      obs::Registry::global().counter("serve_test_shape/accepted").value(),
-      0);
+  EXPECT_EQ(server.accepted(), 0);
+}
+
+// --- Each server counts only its own requests: a second server with
+// the same config starts from zero and leaves the first's figures
+// alone. ---
+
+TEST(Serve, TwoServersKeepTheirOwnCounters) {
+  const auto net = make_network(8, 11);
+  const std::vector<Tensor> inputs = make_inputs(*net, 5, 13);
+  ServerConfig config;
+  config.workers = 1;
+  const auto serve_first = [&](Server& server, std::size_t n) {
+    std::vector<std::future<InferenceResult>> futures;
+    for (std::size_t i = 0; i < n; ++i) {
+      futures.push_back(submit_until_accepted(server, inputs[i]));
+    }
+    for (auto& future : futures) future.get();
+    server.shutdown();
+  };
+
+  Server first(net, config);
+  serve_first(first, 5);
+  ASSERT_EQ(first.completed(), 5);
+  Server second(net, config);
+  EXPECT_EQ(first.completed(), 5);
+  serve_first(second, 2);
+
+  EXPECT_EQ(first.accepted(), 5);
+  EXPECT_EQ(first.completed(), 5);
+  EXPECT_EQ(first.latency().count, 5u);
+  EXPECT_EQ(second.accepted(), 2);
+  EXPECT_EQ(second.completed(), 2);
+  EXPECT_EQ(second.latency().count, 2u);
 }
 
 // --- The const-Network handle serving rests on: inference streams
