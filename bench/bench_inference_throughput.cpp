@@ -14,15 +14,18 @@
 // The sweep runs fp32 and bf16 through 1..--streams streams (powers of
 // two). Single-stream rates — the basis of the reported bf16 speedup —
 // are measured round-robin across the two precisions over --rounds
-// blocks and reported as the best block, with the slowest and fastest
-// block next to it, so a background-load spike on a shared VM hits
-// both modes instead of biasing one and the spread stays visible.
+// blocks and reported as the best block, with the slowest block, the
+// quartiles and the fastest block next to it, so a background-load
+// spike on a shared VM hits both modes instead of biasing one and the
+// spread stays visible.
 // Every stream's outputs are checked bitwise against a serial
 // reference of the SAME precision (the determinism rule holds per
 // precision), and the bf16 predictions are scored against fp32 as a
 // parameter-regression MAE on the shared core::precision_eval fixture —
 // the same dataset the accuracy-tolerance test gates on. The JSON
-// record names the ISA the kernels were built for.
+// record names the ISA the kernels were built for, and its `host`
+// object carries the fields of a cfbench record's host line: hardware
+// threads, the host's ISA flags, the commit, build type and compiler.
 //
 // `scaling_valid` is false when the sweep oversubscribes the hardware
 // (streams x threads-per-stream > hardware threads): on a 1-core VM
@@ -40,6 +43,9 @@
 //   ./bench_inference_throughput [--dhw=32] [--streams=4]
 //       [--threads-per-stream=1] [--cost-model] [--reps=16]
 //       [--rounds=4] [--json=BENCH_inference.json]
+#include <cpuid.h>
+
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -61,6 +67,13 @@
 // COSMOFLOW_GIT_SHA, written at build time (bench/git_stamp.cmake).
 #include "git_stamp.h"
 
+#ifndef COSMOFLOW_BUILD_TYPE
+#define COSMOFLOW_BUILD_TYPE "unknown"
+#endif
+#ifndef COSMOFLOW_COMPILER
+#define COSMOFLOW_COMPILER "unknown"
+#endif
+
 namespace {
 
 using namespace cf;
@@ -78,6 +91,46 @@ constexpr const char* kKernelIsa =
 #else
     "scalar";
 #endif
+
+// The host this run measured, with the fields of cfbench's host line.
+obs::JsonObject host_json(unsigned hardware_threads) {
+  bool avx512f = false, avx512_bf16 = false, avx512_vnni = false,
+       amx_tile = false;
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  // CPUID leaf 7: sub-leaf 0 has AVX-512F (EBX bit 16), VNNI (ECX bit
+  // 11) and AMX-TILE (EDX bit 24); sub-leaf 1 has AVX512_BF16 (EAX 5).
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) != 0) {
+    avx512f = (ebx >> 16) & 1u;
+    avx512_vnni = (ecx >> 11) & 1u;
+    amx_tile = (edx >> 24) & 1u;
+    if (__get_cpuid_count(7, 1, &eax, &ebx, &ecx, &edx) != 0) {
+      avx512_bf16 = (eax >> 5) & 1u;
+    }
+  }
+  obs::JsonObject isa;
+  isa.field("avx512f", avx512f)
+      .field("avx512_bf16", avx512_bf16)
+      .field("avx512_vnni", avx512_vnni)
+      .field("amx_tile", amx_tile);
+  obs::JsonObject host;
+  host.field("hardware_threads",
+             static_cast<std::int64_t>(hardware_threads))
+      .field("isa", isa)
+      .field("commit", COSMOFLOW_GIT_SHA)
+      .field("build_type", COSMOFLOW_BUILD_TYPE)
+      .field("compiler", COSMOFLOW_COMPILER);
+  return host;
+}
+
+// The p-quantile of `v` by linear interpolation between order
+// statistics (the "inclusive" method of scripts/bench_record.py).
+double quantile(std::vector<double> v, double p) {
+  std::sort(v.begin(), v.end());
+  const double pos = p * static_cast<double>(v.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
 
 }  // namespace
 
@@ -248,15 +301,16 @@ int main(int argc, char** argv) {
   // Single-stream rates, round-robin: the bf16 speedup is a ratio of
   // rates measured through interleaved time slices, so machine-load
   // drift degrades both modes together. The best round is the reported
-  // rate; the slowest round shows the spread.
-  std::vector<double> single_sps(precisions.size(), 0.0);
-  std::vector<double> single_min(precisions.size(), 0.0);
+  // rate; the other rounds show the spread.
+  std::vector<std::vector<double>> single_rounds(precisions.size());
   for (int round = 0; round < rounds; ++round) {
     for (std::size_t p = 0; p < precisions.size(); ++p) {
-      const double sps = run_streams(1, p);
-      single_sps[p] = std::max(single_sps[p], sps);
-      single_min[p] = round == 0 ? sps : std::min(single_min[p], sps);
+      single_rounds[p].push_back(run_streams(1, p));
     }
+  }
+  std::vector<double> single_sps;
+  for (const std::vector<double>& r : single_rounds) {
+    single_sps.push_back(*std::max_element(r.begin(), r.end()));
   }
 
   std::printf("%8s | %7s | %14s | %8s\n", "streams", "prec", "samples/s",
@@ -278,10 +332,11 @@ int main(int argc, char** argv) {
   const double speedup_bf16 =
       single_sps[0] > 0.0 ? single_sps[1] / single_sps[0] : 0.0;
   for (std::size_t p = 0; p < precisions.size(); ++p) {
-    std::printf("\nsingle-stream %s over %d round(s): min %.2f, max "
-                "%.2f samples/s",
-                to_string(precisions[p]).data(), rounds, single_min[p],
-                single_sps[p]);
+    const std::vector<double>& r = single_rounds[p];
+    std::printf("\nsingle-stream %s over %d round(s): min %.2f, q1 %.2f, "
+                "q3 %.2f, max %.2f samples/s",
+                to_string(precisions[p]).data(), rounds, quantile(r, 0.0),
+                quantile(r, 0.25), quantile(r, 0.75), single_sps[p]);
   }
   std::printf("\nsingle-stream speedup vs fp32: bf16 %.3fx (kernels "
               "built for %s)\n",
@@ -301,15 +356,13 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     obs::JsonObject rec;
     rec.field("bench", "inference_throughput")
-        .field("commit", COSMOFLOW_GIT_SHA)
+        .field("host", host_json(hardware_threads))
         .field("kernel_isa", kKernelIsa)
         .field("dhw", static_cast<std::int64_t>(dhw))
         .field("reps", reps)
         .field("rounds", rounds)
         .field("threads_per_stream", threads_per_stream)
         .field("cost_model", use_cost_model)
-        .field("hardware_threads",
-               static_cast<std::int64_t>(hardware_threads))
         .field("scaling_valid", scaling_valid);
     for (std::size_t p = 0; p < precisions.size(); ++p) {
       const std::string key =
@@ -317,7 +370,10 @@ int main(int argc, char** argv) {
       for (const auto& [streams, sps] : results[p]) {
         rec.field(key + std::to_string(streams), sps);
         if (streams == 1) {
-          rec.field(key + "1_min", single_min[p])
+          const std::vector<double>& r = single_rounds[p];
+          rec.field(key + "1_min", quantile(r, 0.0))
+              .field(key + "1_q1", quantile(r, 0.25))
+              .field(key + "1_q3", quantile(r, 0.75))
               .field(key + "1_max", single_sps[p]);
         }
       }

@@ -29,7 +29,7 @@ struct ConvFixture {
     const Shape in = conv.input_is_plain()
                          ? Shape{ic, dhw, dhw, dhw}
                          : Shape{ic / 16, dhw, dhw, dhw, 16};
-    dnn::plan_single(conv, in);
+    conv.plan(in);
     exec.emplace(conv);
     runtime::Rng rng(1);
     conv.init_he(rng);
@@ -113,7 +113,7 @@ void BM_AvgPool3dForward(benchmark::State& state) {
   const std::int64_t channels = state.range(0);
   const std::int64_t dhw = state.range(1);
   dnn::AvgPool3d layer("pool", dnn::AvgPool3dConfig{2, 2});
-  dnn::plan_single(layer, Shape{channels / 16, dhw, dhw, dhw, 16});
+  layer.plan(Shape{channels / 16, dhw, dhw, dhw, 16});
   dnn::StandaloneExec exec(layer);
   runtime::Rng rng(3);
   Tensor src(layer.input_shape());
@@ -135,7 +135,7 @@ void BM_DenseForward(benchmark::State& state) {
   const std::int64_t in = state.range(0);
   const std::int64_t out = state.range(1);
   dnn::Dense layer("fc", in, out);
-  dnn::plan_single(layer, Shape{in});
+  layer.plan(Shape{in});
   dnn::StandaloneExec exec(layer);
   runtime::Rng rng(4);
   layer.init_xavier(rng);
@@ -159,7 +159,7 @@ BENCHMARK(BM_DenseForward)
 void BM_LeakyRelu(benchmark::State& state) {
   const std::int64_t n = state.range(0);
   dnn::LeakyRelu layer("act", 0.01f);
-  dnn::plan_single(layer, Shape{n});
+  layer.plan(Shape{n});
   dnn::StandaloneExec exec(layer);
   runtime::Rng rng(5);
   Tensor src(Shape{n});

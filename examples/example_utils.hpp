@@ -7,7 +7,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -15,43 +17,69 @@
 
 namespace cf::examples {
 
-/// Parses --key=value arguments; anything else aborts with usage help.
+/// Parses --key=value (and bare --key, read as "1") arguments against
+/// `keys`, the flags the program reads. `--help` prints `usage` and
+/// exits 0; a key not in `keys`, or an argument without `--`, prints it
+/// and exits 2 — both before the program does any work.
 class Flags {
  public:
-  Flags(int argc, char** argv, const std::string& usage) {
+  Flags(int argc, char** argv, const std::string& usage,
+        std::initializer_list<const char*> keys)
+      : keys_(keys.begin(), keys.end()) {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        std::fprintf(stderr, "unexpected argument '%s'\n%s\n", argv[i],
-                     usage.c_str());
-        std::exit(2);
+      if (arg == "--help") {
+        std::printf("%s\n", usage.c_str());
+        std::exit(0);
       }
+      if (arg.rfind("--", 0) != 0) reject(arg, usage);
       const std::size_t eq = arg.find('=');
-      if (eq == std::string::npos) {
-        values_[arg.substr(2)] = "1";
-      } else {
-        values_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-      }
+      const std::string key =
+          arg.substr(2, eq == std::string::npos ? eq : eq - 2);
+      if (!known(key)) reject(arg, usage);
+      values_[key] = eq == std::string::npos ? "1" : arg.substr(eq + 1);
     }
   }
 
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stoll(it->second);
+    const std::string* value = find(key);
+    return value == nullptr ? fallback : std::stoll(*value);
   }
 
   double get_double(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
+    const std::string* value = find(key);
+    return value == nullptr ? fallback : std::stod(*value);
   }
 
   std::string get_string(const std::string& key,
                          const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
+    const std::string* value = find(key);
+    return value == nullptr ? fallback : *value;
   }
 
  private:
+  [[noreturn]] static void reject(const std::string& arg,
+                                  const std::string& usage) {
+    std::fprintf(stderr, "unexpected argument '%s'\n%s\n", arg.c_str(),
+                 usage.c_str());
+    std::exit(2);
+  }
+
+  bool known(const std::string& key) const {
+    return std::find(keys_.begin(), keys_.end(), key) != keys_.end();
+  }
+
+  /// The value given for `key`, or null. Reading a key missing from
+  /// the constructor's list throws: no command line could set it.
+  const std::string* find(const std::string& key) const {
+    if (!known(key)) {
+      throw std::logic_error("Flags: --" + key + " is not a declared flag");
+    }
+    const auto it = values_.find(key);
+    return it == values_.end() ? nullptr : &it->second;
+  }
+
+  std::vector<std::string> keys_;
   std::map<std::string, std::string> values_;
 };
 

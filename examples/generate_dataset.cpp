@@ -21,7 +21,9 @@ int main(int argc, char** argv) {
       argc, argv,
       "usage: generate_dataset --out=DIR [--sims=N] [--grid=N] "
       "[--voxels=N] [--box=MPC] [--samples-per-shard=N] [--seed=N] "
-      "[--2lpt]");
+      "[--2lpt]",
+      {"out", "sims", "grid", "box", "voxels", "2lpt", "seed",
+       "samples-per-shard"});
 
   const std::string out = flags.get_string("out", "/tmp/cosmoflow_data");
 

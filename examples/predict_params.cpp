@@ -38,7 +38,8 @@ int main(int argc, char** argv) {
   using namespace cf;
   const examples::Flags flags(
       argc, argv,
-      "usage: predict_params --data=DIR --checkpoint=PATH");
+      "usage: predict_params --data=DIR --checkpoint=PATH",
+      {"data", "checkpoint"});
 
   const std::string dir = flags.get_string("data", "/tmp/cosmoflow_data");
   const std::string ckpt =

@@ -19,7 +19,8 @@ int main(int argc, char** argv) {
   using namespace cf;
   const examples::Flags flags(
       argc, argv,
-      "usage: quickstart [--sims=N] [--epochs=N] [--ranks=N]");
+      "usage: quickstart [--sims=N] [--epochs=N] [--ranks=N]",
+      {"sims", "ranks", "epochs"});
 
   // 1. Simulate.
   core::DatasetGenConfig gen;

@@ -28,7 +28,8 @@ int main(int argc, char** argv) {
   const examples::Flags flags(
       argc, argv,
       "usage: serve_cosmoflow [--dhw=16] [--workers=2] [--requests=8] "
-      "[--precision=fp32|bf16] [--checkpoint=PATH]");
+      "[--precision=fp32|bf16] [--checkpoint=PATH]",
+      {"dhw", "checkpoint", "requests", "precision", "workers"});
 
   const std::int64_t dhw = flags.get_int("dhw", 16);
   const std::string ckpt = flags.get_string("checkpoint", "");

@@ -49,7 +49,10 @@ int main(int argc, char** argv) {
       "usage: train_cosmoflow --data=DIR [--preset=NAME] [--ranks=N] "
       "[--epochs=N] [--base-lr=F] [--min-lr=F] [--checkpoint=PATH] "
       "[--optimizer=adamlarc|adam|sgd] [--trace=PATH] "
-      "[--step-log=PATH] [--no-overlap] [--no-memplan] [--bucket-kb=N]");
+      "[--step-log=PATH] [--no-overlap] [--no-memplan] [--bucket-kb=N]",
+      {"data", "preset", "ranks", "epochs", "base-lr", "min-lr",
+       "checkpoint", "optimizer", "trace", "step-log", "no-overlap",
+       "no-memplan", "bucket-kb"});
 
   const std::string dir = flags.get_string("data", "/tmp/cosmoflow_data");
   const auto train_shards = find_shards(dir, "train");

@@ -24,7 +24,10 @@
 #   7. one timing site per layer: no file under src/dnn except
 #      exec_context.cpp may contain CF_TRACE_SCOPE, Stopwatch,
 #      ScopedTimer or now_ns, so a kernel cannot start timing itself
-#      apart from the ExecContext dispatch (OBSERVABILITY.md).
+#      apart from the ExecContext dispatch (OBSERVABILITY.md);
+#   8. every BENCH_*.json baseline in the repo root must carry a `host`
+#      object with a `commit`, so no number is checked in without the
+#      machine and the code it measured.
 #
 # Usage: check_docs.sh [repo_root]
 set -u
@@ -144,6 +147,18 @@ for file in $timed; do
   echo "FAIL: $file reads the clock or opens a span; only" \
        "src/dnn/exec_context.cpp times layers" >&2
   fail=1
+done
+
+# Every baseline names its host and commit.
+for baseline in BENCH_*.json; do
+  [ -e "$baseline" ] || continue
+  if ! python3 -c 'import json, sys
+host = json.load(open(sys.argv[1])).get("host")
+sys.exit(0 if isinstance(host, dict) and host.get("commit") else 1)' \
+       "$baseline"; then
+    echo "FAIL: $baseline has no host object with a commit" >&2
+    fail=1
+  fi
 done
 
 if [ "$fail" -ne 0 ]; then

@@ -51,9 +51,8 @@ run_one() {
       # fields must never drive an out-of-bounds read or oversized
       # allocation. Pipeline*/DataPath* run the ring's buffer swaps and
       # the mmap'd shard reads end to end.
-      # Graph*.* rides every leg: slot-colored act/diff arenas, the
-      # fan-in merge buffers, and shape-view weight aliasing are all
-      # raw-offset arena arithmetic.
+      # Graph*.* rides every leg: the parity-placed activation and
+      # diff arenas are raw-offset arena arithmetic.
       filter='Memplan*.*:Network*.*:Context*.*:*BlockedConvVsReference.*:*AvgPoolVsReference.*:Conv3d*.*:Dense.*:LeakyRelu.*:Shapes/FusedConvVsUnfused*.*:FusedDenseVsUnfused*.*:Fusion*.*:AvgPool*.*:Flatten*.*:Threads/ConvThreadInvariance*.*:Precision*.*:Intraop*.*:*/Intraop*.*:Graph*.*:Crc32c*.*:Cfrecord*.*:CfrecordFuzz*.*:SampleSerialization*.*:Pipeline*.*:DataPath*.*'
       ;;
     tsan)
@@ -67,11 +66,8 @@ run_one() {
       # racing on the ring reorder buffer and swapping their buffers
       # with the consumer's through its slots, and mapped shard readers
       # shared across I/O threads (concurrent const view_at).
-      # Graph*.* rides this leg for the concurrent per-shape-context
-      # smoke: parent + two shape views running inference from separate
-      # threads over one shared weight arena
-      # (GraphShapeView.ConcurrentPerShapeInference), plus the
-      # multi-head serving path in GraphResidual.TrainsAndServes.
+      # Graph*.* rides this leg for GraphSequential's 3-thread runs of
+      # the whole chain, trained and served in fp32 and bf16.
       # Metrics.* rides this leg for the Counter, Stat and Histogram
       # contention tests: four pool threads add to one instrument.
       filter='Metrics.*:MlComm*.*:MlCommAsync*.*:ThreadPool*.*:OverlapBitwise*.*:OverlapTelemetry*.*:TrainerDeterminism*.*:Context.ConcurrentInferenceStreamsMatchSerial:Context.InferenceForwardBitwiseMatchesTraining:Serve*.*:Precision*.*:Intraop*.*:*/Intraop*.*:Graph*.*:Pipeline*.*:PipelinePool*.*:DataPath*.*'

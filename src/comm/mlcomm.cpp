@@ -61,15 +61,26 @@ runtime::TimeStats RankHandle::hidden_comm_time() const {
   return comm_->rank_stats_[rank_].hidden.snapshot();
 }
 
+namespace {
+
+/// `nranks` as a container size. Called from the member-init list, so a
+/// non-positive count throws before any member is sized from it (a
+/// negative one would wrap to a huge size).
+std::size_t rank_count(int nranks) {
+  if (nranks <= 0) throw std::invalid_argument("MlComm: nranks must be > 0");
+  return static_cast<std::size_t>(nranks);
+}
+
+}  // namespace
+
 MlComm::MlComm(int nranks, MlCommConfig config)
     : nranks_(nranks),
       config_(std::move(config)),
-      barrier_(static_cast<std::size_t>(nranks)),
-      slots_(static_cast<std::size_t>(nranks), nullptr),
-      slot_sizes_(static_cast<std::size_t>(nranks), 0),
-      scalar_slots_(static_cast<std::size_t>(nranks), 0.0),
-      rank_stats_(static_cast<std::size_t>(nranks)) {
-  if (nranks <= 0) throw std::invalid_argument("MlComm: nranks must be > 0");
+      barrier_(rank_count(nranks)),
+      slots_(rank_count(nranks), nullptr),
+      slot_sizes_(rank_count(nranks), 0),
+      scalar_slots_(rank_count(nranks), 0.0),
+      rank_stats_(rank_count(nranks)) {
   if (config_.chunk_elems == 0) {
     throw std::invalid_argument("MlComm: chunk_elems must be > 0");
   }

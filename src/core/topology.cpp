@@ -7,7 +7,6 @@
 #include "dnn/conv3d.hpp"
 #include "dnn/dense.hpp"
 #include "dnn/flatten.hpp"
-#include "dnn/graph_ops.hpp"
 
 namespace cf::core {
 
@@ -112,98 +111,9 @@ TopologyConfig preset_topology(const std::string& name) {
       "cosmoflow-16, cosmoflow-8 or ravanbakhsh-64)");
 }
 
-ResidualTopologyConfig cosmoflow_residual() { return {}; }
-
 tensor::Shape input_shape(const TopologyConfig& config) {
   return tensor::Shape{1, config.input_dhw, config.input_dhw,
                        config.input_dhw};
-}
-
-tensor::Shape input_shape(const ResidualTopologyConfig& config) {
-  return tensor::Shape{1, config.input_dhw, config.input_dhw,
-                       config.input_dhw};
-}
-
-dnn::Network build_residual_network(const ResidualTopologyConfig& config,
-                                    std::uint64_t seed, bool fuse_eltwise,
-                                    bool memplan) {
-  if (config.width % 16 != 0 || config.width <= 0) {
-    throw std::invalid_argument(
-        "build_residual_network: width must be a positive multiple of 16");
-  }
-  if (config.input_dhw < 4 || config.input_dhw % 4 != 0) {
-    throw std::invalid_argument(
-        "build_residual_network: input_dhw must be a multiple of 4");
-  }
-  if (config.head_outputs.empty()) {
-    throw std::invalid_argument(
-        "build_residual_network: at least one output head");
-  }
-  using dnn::kGraphInput;
-  using dnn::NodeId;
-  dnn::Network net;
-  net.set_fuse_eltwise(fuse_eltwise);
-  net.set_memory_planning(memplan);
-  const float slope = config.leaky_slope;
-  std::vector<dnn::Conv3d*> convs;
-  std::vector<dnn::Dense*> denses;
-  auto conv = [&](const std::string& name, std::vector<NodeId> inputs,
-                  std::int64_t in_c, std::int64_t out_c) {
-    auto layer = std::make_unique<dnn::Conv3d>(
-        name, dnn::Conv3dConfig{in_c, out_c, 3, 1, dnn::Padding::kSame});
-    convs.push_back(layer.get());
-    return net.add_node(std::move(layer), std::move(inputs));
-  };
-  auto dense = [&](const std::string& name, std::vector<NodeId> inputs,
-                   std::int64_t in_f, std::int64_t out_f) {
-    auto layer = std::make_unique<dnn::Dense>(name, in_f, out_f);
-    denses.push_back(layer.get());
-    return net.add_node(std::move(layer), std::move(inputs));
-  };
-
-  // Stem: two conv/act/pool stages, 1 -> 16 -> width channels.
-  NodeId c1 = conv("conv1", {kGraphInput}, 1, 16);
-  NodeId a1 = net.emplace_node<dnn::LeakyRelu>({c1}, "act1", slope);
-  NodeId p1 = net.emplace_node<dnn::AvgPool3d>({a1}, "pool1",
-                                               dnn::AvgPool3dConfig{2, 2});
-  NodeId c2 = conv("conv2", {p1}, 16, config.width);
-  NodeId a2 = net.emplace_node<dnn::LeakyRelu>({c2}, "act2", slope);
-  NodeId p2 = net.emplace_node<dnn::AvgPool3d>({a2}, "pool2",
-                                               dnn::AvgPool3dConfig{2, 2});
-
-  // Residual block: conv -> act -> conv, summed with the block input.
-  // The trailing activation consumes the Add node (which declines
-  // fusion), so it stays a standalone graph node.
-  NodeId r1 = conv("res_conv1", {p2}, config.width, config.width);
-  NodeId ra = net.emplace_node<dnn::LeakyRelu>({r1}, "res_act1", slope);
-  NodeId r2 = conv("res_conv2", {ra}, config.width, config.width);
-  NodeId sum = net.emplace_node<dnn::Add>({p2, r2}, "res_add");
-  NodeId res = net.emplace_node<dnn::LeakyRelu>({sum}, "res_act2", slope);
-
-  // Shape-agnostic head: GlobalAvgPool -> dense trunk -> one dense
-  // output node per head.
-  NodeId gap = net.emplace_node<dnn::GlobalAvgPool>({res}, "gap");
-  NodeId fc1 = dense("fc1", {gap}, config.width, config.trunk);
-  NodeId fa1 = net.emplace_node<dnn::LeakyRelu>({fc1}, "fc_act1", slope);
-  std::vector<NodeId> heads;
-  for (std::size_t h = 0; h < config.head_outputs.size(); ++h) {
-    heads.push_back(dense("head" + std::to_string(h + 1), {fa1},
-                          config.trunk, config.head_outputs[h]));
-  }
-  net.set_heads(heads);
-  net.finalize(input_shape(config));
-
-  // Deterministic initialization, same streaming as build_network.
-  std::uint64_t stream = 1;
-  for (dnn::Conv3d* c : convs) {
-    runtime::Rng rng(seed, stream++);
-    c->init_he(rng);
-  }
-  for (dnn::Dense* d : denses) {
-    runtime::Rng rng(seed, stream++);
-    d->init_xavier(rng);
-  }
-  return net;
 }
 
 dnn::Network build_network(const TopologyConfig& config, std::uint64_t seed,

@@ -12,6 +12,10 @@
 // point: 64^3 input, two predicted parameters. cosmoflow_scaled()
 // shrinks the input for single-core training studies while keeping the
 // architecture family identical.
+//
+// Every topology is a chain, as in the paper (DESIGN.md §2.8): conv and
+// pool stages, a flatten, dense layers, then one output layer.
+// build_network() appends the layers in that order to a dnn::Network.
 #pragma once
 
 #include <cstdint>
@@ -61,46 +65,18 @@ TopologyConfig topology_for_input(std::int64_t input_dhw);
 /// "ravanbakhsh-64". Throws on unknown names.
 TopologyConfig preset_topology(const std::string& name);
 
-/// A residual / multi-head variant exercising the graph IR end to end
-/// (DESIGN.md §2.8): two conv+pool stages into a residual block
-/// (conv -> act -> conv, summed with the block input via Add, then
-/// activated), a GlobalAvgPool — making the dense head input-size
-/// agnostic, the enabler for Network::make_shape_view — a dense trunk
-/// and one dense output head per head_outputs entry.
-struct ResidualTopologyConfig {
-  std::string name = "cosmoflow-residual";
-  std::int64_t input_dhw = 32;
-  std::int64_t width = 32;  // residual block channels (multiple of 16)
-  std::int64_t trunk = 64;  // dense trunk width
-  /// Output widths, one dense head per entry.
-  std::vector<std::int64_t> head_outputs = {3, 1};
-  float leaky_slope = 0.01f;
-};
-
-/// The stock residual demo topology (32^3 input, heads {3, 1}).
-ResidualTopologyConfig cosmoflow_residual();
-
 /// Builds and finalizes the network; parameters are deterministically
 /// initialized (He for convs, Xavier for dense) from `seed`. By default
 /// the network fuses every Conv3d/Dense → LeakyRelu pair into the
-/// producer's epilogue (bitwise identical to the unfused graph);
+/// producer's epilogue (bitwise identical to the unfused chain);
 /// `fuse_eltwise = false` keeps the standalone activation layers.
-/// `memplan` likewise defaults to the liveness-planned diff/scratch
-/// arenas (placement-only, bitwise identical; DESIGN.md §2.2);
+/// `memplan` likewise defaults to the parity-placed diff arena and
+/// shared scratch (placement-only, bitwise identical; DESIGN.md §2.2);
 /// `memplan = false` keeps per-layer buffers.
 dnn::Network build_network(const TopologyConfig& config, std::uint64_t seed,
                            bool fuse_eltwise = true, bool memplan = true);
 
-/// Builds, finalizes and deterministically initializes the residual
-/// multi-head network (same RNG streaming as build_network: He for
-/// convs, Xavier for dense, one stream per layer in schedule order).
-dnn::Network build_residual_network(const ResidualTopologyConfig& config,
-                                    std::uint64_t seed,
-                                    bool fuse_eltwise = true,
-                                    bool memplan = true);
-
 /// Input tensor shape of a topology: plain {1, dhw, dhw, dhw}.
 tensor::Shape input_shape(const TopologyConfig& config);
-tensor::Shape input_shape(const ResidualTopologyConfig& config);
 
 }  // namespace cf::core

@@ -23,10 +23,9 @@ LeakyRelu::LeakyRelu(std::string name, float negative_slope)
   }
 }
 
-Shape LeakyRelu::plan(std::span<const Shape> inputs) {
-  check_inputs(inputs.size());
-  set_shapes(inputs[0], inputs[0]);
-  return inputs[0];
+Shape LeakyRelu::plan(const Shape& input) {
+  set_shapes(input, input);
+  return input;
 }
 
 FlopCounts LeakyRelu::flops() const {
@@ -36,10 +35,9 @@ FlopCounts LeakyRelu::flops() const {
   return counts;
 }
 
-void LeakyRelu::forward(Inputs srcs, Tensor& dst, LayerExecState& /*exec*/,
+void LeakyRelu::forward(const Tensor& src, Tensor& dst,
+                        LayerExecState& /*exec*/,
                         runtime::ThreadPool& pool) const {
-  check_inputs(srcs.size());
-  const Tensor& src = *srcs[0];
   if (src.shape() != input_shape() || dst.shape() != output_shape()) {
     throw std::invalid_argument("LeakyRelu::forward: shape mismatch");
   }
@@ -56,14 +54,10 @@ void LeakyRelu::forward(Inputs srcs, Tensor& dst, LayerExecState& /*exec*/,
                     kSerialWorkLimit);
 }
 
-void LeakyRelu::backward_data(Inputs srcs, const Tensor& /*dst*/,
-                              const Tensor& ddst, InputGrads dsrcs,
+void LeakyRelu::backward_data(const Tensor& src, const Tensor& /*dst*/,
+                              const Tensor& ddst, Tensor& dsrc,
                               LayerExecState& /*exec*/,
                               runtime::ThreadPool& pool) const {
-  check_inputs(srcs.size(), dsrcs.size());
-  if (dsrcs[0] == nullptr) return;
-  const Tensor& src = *srcs[0];
-  Tensor& dsrc = *dsrcs[0];
   if (src.shape() != input_shape() || ddst.shape() != output_shape() ||
       dsrc.shape() != input_shape()) {
     throw std::invalid_argument("LeakyRelu::backward_data: shape mismatch");

@@ -18,12 +18,13 @@ class LeakyRelu final : public Layer {
 
   std::string kind() const override { return "activation"; }
 
-  tensor::Shape plan(std::span<const tensor::Shape> inputs) override;
+  tensor::Shape plan(const tensor::Shape& input) override;
 
-  void forward(Inputs srcs, tensor::Tensor& dst, LayerExecState& exec,
+  void forward(const tensor::Tensor& src, tensor::Tensor& dst,
+               LayerExecState& exec,
                runtime::ThreadPool& pool) const override;
-  void backward_data(Inputs srcs, const tensor::Tensor& dst,
-                     const tensor::Tensor& ddst, InputGrads dsrcs,
+  void backward_data(const tensor::Tensor& src, const tensor::Tensor& dst,
+                     const tensor::Tensor& ddst, tensor::Tensor& dsrc,
                      LayerExecState& exec,
                      runtime::ThreadPool& pool) const override;
 
@@ -39,10 +40,6 @@ class LeakyRelu final : public Layer {
                     runtime::ThreadPool& pool) const override;
 
   FlopCounts flops() const override;
-
-  std::unique_ptr<Layer> clone_unplanned() const override {
-    return std::make_unique<LeakyRelu>(name(), slope_);
-  }
 
   float negative_slope() const noexcept { return slope_; }
 

@@ -23,9 +23,7 @@ AvgPool3d::AvgPool3d(std::string name, AvgPool3dConfig config)
   }
 }
 
-Shape AvgPool3d::plan(std::span<const Shape> inputs) {
-  check_inputs(inputs.size());
-  const Shape& input = inputs[0];
+Shape AvgPool3d::plan(const Shape& input) {
   if (input.rank() != 5 || input[4] != kB) {
     throw std::invalid_argument("AvgPool3d::plan: expected blocked input, "
                                 "got " + input.to_string());
@@ -50,10 +48,8 @@ FlopCounts AvgPool3d::flops() const {
   return counts;
 }
 
-void AvgPool3d::forward(Inputs srcs, Tensor& dst, LayerExecState& exec,
+void AvgPool3d::forward(const Tensor& src, Tensor& dst, LayerExecState& exec,
                         runtime::ThreadPool& pool) const {
-  check_inputs(srcs.size());
-  const Tensor& src = *srcs[0];
   if (src.shape() != input_shape() || dst.shape() != output_shape()) {
     throw std::invalid_argument("AvgPool3d::forward: shape mismatch");
   }
@@ -96,13 +92,10 @@ void AvgPool3d::forward(Inputs srcs, Tensor& dst, LayerExecState& exec,
       exec.intraop_grain);
 }
 
-void AvgPool3d::backward_data(Inputs srcs, const Tensor& /*dst*/,
-                              const Tensor& ddst, InputGrads dsrcs,
+void AvgPool3d::backward_data(const Tensor& /*src*/, const Tensor& /*dst*/,
+                              const Tensor& ddst, Tensor& dsrc,
                               LayerExecState& exec,
                               runtime::ThreadPool& pool) const {
-  check_inputs(srcs.size(), dsrcs.size());
-  if (dsrcs[0] == nullptr) return;
-  Tensor& dsrc = *dsrcs[0];
   if (ddst.shape() != output_shape() || dsrc.shape() != input_shape()) {
     throw std::invalid_argument("AvgPool3d::backward_data: shape mismatch");
   }

@@ -323,9 +323,7 @@ Conv3d::Conv3d(std::string name, Conv3dConfig config)
   plain_input_ = config_.in_channels < kB;
 }
 
-Shape Conv3d::plan(std::span<const Shape> inputs) {
-  check_inputs(inputs.size());
-  const Shape& input = inputs[0];
+Shape Conv3d::plan(const Shape& input) {
   const std::int64_t k = config_.kernel;
   if (plain_input_) {
     if (input.rank() != 4 || input[0] != config_.in_channels) {
@@ -556,10 +554,8 @@ void Conv3d::stage_padded_src(const Tensor& src, LayerExecState& exec,
   }
 }
 
-void Conv3d::forward(Inputs srcs, Tensor& dst, LayerExecState& exec,
+void Conv3d::forward(const Tensor& src, Tensor& dst, LayerExecState& exec,
                      runtime::ThreadPool& pool) const {
-  check_inputs(srcs.size());
-  const Tensor& src = *srcs[0];
   if (src.shape() != input_shape() || dst.shape() != output_shape()) {
     throw std::invalid_argument("Conv3d::forward: shape mismatch");
   }
@@ -573,11 +569,10 @@ void Conv3d::forward(Inputs srcs, Tensor& dst, LayerExecState& exec,
   }
 }
 
-void Conv3d::backward_weights(Inputs srcs, const Tensor& dst, Tensor& ddst,
-                              LayerExecState& exec,
+void Conv3d::backward_weights(const Tensor& src, const Tensor& dst,
+                              Tensor& ddst, LayerExecState& exec,
                               runtime::ThreadPool& pool) const {
-  check_inputs(srcs.size());
-  if (srcs[0]->shape() != input_shape() || ddst.shape() != output_shape()) {
+  if (src.shape() != input_shape() || ddst.shape() != output_shape()) {
     throw std::invalid_argument("Conv3d::backward_weights: shape mismatch");
   }
   if (exec.grads.size() != 2) {
@@ -607,20 +602,17 @@ void Conv3d::backward_weights(Inputs srcs, const Tensor& dst, Tensor& ddst,
   }
 }
 
-void Conv3d::backward_data(Inputs srcs, const Tensor& /*dst*/,
-                           const Tensor& ddst, InputGrads dsrcs,
+void Conv3d::backward_data(const Tensor& /*src*/, const Tensor& /*dst*/,
+                           const Tensor& ddst, Tensor& dsrc,
                            LayerExecState& exec,
                            runtime::ThreadPool& pool) const {
-  check_inputs(srcs.size(), dsrcs.size());
-  Tensor* dsrc = dsrcs[0];
-  if (dsrc == nullptr) return;
-  if (ddst.shape() != output_shape() || dsrc->shape() != input_shape()) {
+  if (ddst.shape() != output_shape() || dsrc.shape() != input_shape()) {
     throw std::invalid_argument("Conv3d::backward_data: shape mismatch");
   }
   if (plain_input_) {
-    backward_data_plain_src(ddst, *dsrc, pool);
+    backward_data_plain_src(ddst, dsrc, pool);
   } else {
-    backward_data_blocked(ddst, *dsrc, exec.scratch, pool,
+    backward_data_blocked(ddst, dsrc, exec.scratch, pool,
                           exec.intraop_grain);
   }
 }

@@ -21,7 +21,6 @@
 // so concurrent streams can share one Conv3d.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -57,17 +56,19 @@ class Conv3d final : public Layer {
   /// Input: blocked {ICb, D, H, W, 16} when in_channels is a multiple
   /// of 16, else plain {IC, D, H, W} (first layer). Output: blocked
   /// {OCb, OD, OH, OW, 16}. out_channels must be a multiple of 16.
-  tensor::Shape plan(std::span<const tensor::Shape> inputs) override;
+  tensor::Shape plan(const tensor::Shape& input) override;
 
-  void forward(Inputs srcs, tensor::Tensor& dst, LayerExecState& exec,
+  void forward(const tensor::Tensor& src, tensor::Tensor& dst,
+               LayerExecState& exec,
                runtime::ThreadPool& pool) const override;
   /// Masks ddst in place when fused, then accumulates the bias and
   /// weight gradients from it.
-  void backward_weights(Inputs srcs, const tensor::Tensor& dst,
-                        tensor::Tensor& ddst, LayerExecState& exec,
+  void backward_weights(const tensor::Tensor& src,
+                        const tensor::Tensor& dst, tensor::Tensor& ddst,
+                        LayerExecState& exec,
                         runtime::ThreadPool& pool) const override;
-  void backward_data(Inputs srcs, const tensor::Tensor& dst,
-                     const tensor::Tensor& ddst, InputGrads dsrcs,
+  void backward_data(const tensor::Tensor& src, const tensor::Tensor& dst,
+                     const tensor::Tensor& ddst, tensor::Tensor& dsrc,
                      LayerExecState& exec,
                      runtime::ThreadPool& pool) const override;
 
@@ -100,14 +101,6 @@ class Conv3d final : public Layer {
 
   std::vector<ParamSpec> param_specs() override;
   FlopCounts flops() const override;
-
-  /// Un-planned copy (same config + fusion state, fresh geometry and
-  /// weights) for Network::make_shape_view.
-  std::unique_ptr<Layer> clone_unplanned() const override {
-    auto copy = std::make_unique<Conv3d>(name(), config_);
-    if (fused_) copy->fuse_leaky_relu(slope_);
-    return copy;
-  }
 
   const Conv3dConfig& config() const noexcept { return config_; }
 

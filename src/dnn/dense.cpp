@@ -21,9 +21,7 @@ Dense::Dense(std::string name, std::int64_t in_features,
   }
 }
 
-Shape Dense::plan(std::span<const Shape> inputs) {
-  check_inputs(inputs.size());
-  const Shape& input = inputs[0];
+Shape Dense::plan(const Shape& input) {
   if (input.rank() != 1 || input[0] != in_) {
     throw std::invalid_argument("Dense::plan: expected plain {" +
                                 std::to_string(in_) + "}, got " +
@@ -104,10 +102,8 @@ void Dense::init_xavier(runtime::Rng& rng) {
   bias_.zero();
 }
 
-void Dense::forward(Inputs srcs, Tensor& dst, LayerExecState& exec,
+void Dense::forward(const Tensor& src, Tensor& dst, LayerExecState& exec,
                     runtime::ThreadPool& pool) const {
-  check_inputs(srcs.size());
-  const Tensor& src = *srcs[0];
   if (src.shape() != input_shape() || dst.shape() != output_shape()) {
     throw std::invalid_argument("Dense::forward: shape mismatch");
   }
@@ -151,11 +147,9 @@ void Dense::forward(Inputs srcs, Tensor& dst, LayerExecState& exec,
   }
 }
 
-void Dense::backward_weights(Inputs srcs, const Tensor& dst, Tensor& ddst,
-                             LayerExecState& exec,
+void Dense::backward_weights(const Tensor& src, const Tensor& dst,
+                             Tensor& ddst, LayerExecState& exec,
                              runtime::ThreadPool& pool) const {
-  check_inputs(srcs.size());
-  const Tensor& src = *srcs[0];
   if (src.shape() != input_shape() || ddst.shape() != output_shape()) {
     throw std::invalid_argument("Dense::backward_weights: shape mismatch");
   }
@@ -191,18 +185,15 @@ void Dense::backward_weights(Inputs srcs, const Tensor& dst, Tensor& ddst,
       backward_grain(in_, out_, exec.intraop_grain));
 }
 
-void Dense::backward_data(Inputs srcs, const Tensor& /*dst*/,
-                          const Tensor& ddst, InputGrads dsrcs,
+void Dense::backward_data(const Tensor& /*src*/, const Tensor& /*dst*/,
+                          const Tensor& ddst, Tensor& dsrc,
                           LayerExecState& exec,
                           runtime::ThreadPool& pool) const {
-  check_inputs(srcs.size(), dsrcs.size());
-  Tensor* dsrc = dsrcs[0];
-  if (dsrc == nullptr) return;
-  if (ddst.shape() != output_shape() || dsrc->shape() != input_shape()) {
+  if (ddst.shape() != output_shape() || dsrc.shape() != input_shape()) {
     throw std::invalid_argument("Dense::backward_data: shape mismatch");
   }
   const float* d = ddst.data();
-  float* ds = dsrc->data();
+  float* ds = dsrc.data();
   pool.parallel_for(
       static_cast<std::size_t>(in_),
       [&](std::size_t begin, std::size_t end, std::size_t) {

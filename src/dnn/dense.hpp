@@ -18,9 +18,10 @@ class Dense final : public Layer {
   std::string kind() const override { return "dense"; }
 
   /// Input: plain {in_features}. Output: plain {out_features}.
-  tensor::Shape plan(std::span<const tensor::Shape> inputs) override;
+  tensor::Shape plan(const tensor::Shape& input) override;
 
-  void forward(Inputs srcs, tensor::Tensor& dst, LayerExecState& exec,
+  void forward(const tensor::Tensor& src, tensor::Tensor& dst,
+               LayerExecState& exec,
                runtime::ThreadPool& pool) const override;
   /// The forward reduction's chunk accumulators, one row of
   /// out_features per chunk, plus one fp32 output row for
@@ -28,11 +29,12 @@ class Dense final : public Layer {
   std::size_t forward_workspace_floats() const override;
   /// Masks ddst in place when fused, then accumulates the bias and
   /// weight gradients from it.
-  void backward_weights(Inputs srcs, const tensor::Tensor& dst,
-                        tensor::Tensor& ddst, LayerExecState& exec,
+  void backward_weights(const tensor::Tensor& src,
+                        const tensor::Tensor& dst, tensor::Tensor& ddst,
+                        LayerExecState& exec,
                         runtime::ThreadPool& pool) const override;
-  void backward_data(Inputs srcs, const tensor::Tensor& dst,
-                     const tensor::Tensor& ddst, InputGrads dsrcs,
+  void backward_data(const tensor::Tensor& src, const tensor::Tensor& dst,
+                     const tensor::Tensor& ddst, tensor::Tensor& dsrc,
                      LayerExecState& exec,
                      runtime::ThreadPool& pool) const override;
 
@@ -54,14 +56,6 @@ class Dense final : public Layer {
 
   std::vector<ParamSpec> param_specs() override;
   FlopCounts flops() const override;
-
-  /// Un-planned copy (same widths + fusion state, fresh weights) for
-  /// Network::make_shape_view.
-  std::unique_ptr<Layer> clone_unplanned() const override {
-    auto copy = std::make_unique<Dense>(name(), in_, out_);
-    if (fused_) copy->fuse_leaky_relu(slope_);
-    return copy;
-  }
 
   /// Deterministic Xavier/Glorot initialization.
   void init_xavier(runtime::Rng& rng);

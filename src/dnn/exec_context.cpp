@@ -16,23 +16,6 @@ using tensor::Tensor;
 
 namespace {
 
-// Below this many elements the parallel_for overhead exceeds the work.
-constexpr std::size_t kSerialWorkLimit = 4096;
-
-/// dst += src, elementwise — the deterministic fan-in gradient merge.
-void accumulate_into(Tensor& dst, const Tensor& src,
-                     runtime::ThreadPool& pool) {
-  float* d = dst.data();
-  const float* s = src.data();
-  const std::size_t n = dst.size();
-  pool.parallel_for(
-      n,
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t i = begin; i < end; ++i) d[i] += s[i];
-      },
-      kSerialWorkLimit);
-}
-
 /// Closes one timed pass of a node: adds [start_ns, now) to `stats`
 /// and, when telemetry is compiled in and the tracer is on, records the
 /// same interval as the span `label` — the profile row and the trace
@@ -59,7 +42,6 @@ ExecContext::ExecContext(Network& net, ExecMode mode, Precision precision)
   }
   exec_.resize(net.layer_count());
   profiles_.reserve(net.layer_count());
-  std::size_t max_arity = 0;
   for (std::size_t i = 0; i < net.layer_count(); ++i) {
     const Layer& layer = net.layer(i);
     LayerProfile& row = profiles_.emplace_back();
@@ -69,10 +51,7 @@ ExecContext::ExecContext(Network& net, ExecMode mode, Precision precision)
     row.fwd_label = row.name + "/fwd";
     row.bww_label = row.name + "/bww";
     row.bwd_data_label = row.name + "/bwd_data";
-    max_arity = std::max(max_arity, net.graph().inputs(i).size());
   }
-  src_ptrs_.reserve(max_arity);
-  dsrc_ptrs_.reserve(max_arity);
   if (mode_ == ExecMode::kTraining) {
     input_ = Tensor(net.input_shape());
     build_training_buffers();
@@ -100,7 +79,6 @@ void ExecContext::build_training_buffers() {
   const Network::MemPlan& plan = net_->mem_plan();
   const bool planned = net_->memory_planning();
   const std::size_t n_layers = net_->layer_count();
-  const Graph& graph = net_->graph();
 
   // Activations: per-node storage — backward re-reads every one of
   // them (a node's backward takes its own forward output *and* its
@@ -113,57 +91,19 @@ void ExecContext::build_training_buffers() {
   }
   act_bytes_ = plan.act_sum * sizeof(float);
 
-  // Diffs: the slot-colored arena when the network was finalized with
-  // memory planning (two diffs share a slot only if their live
-  // intervals over the reverse schedule are disjoint — on a linear
-  // chain this is exactly the historical even/odd parity ping-pong),
-  // per-node storage otherwise.
+  // Diffs: the two-slot parity arena when the network was finalized
+  // with memory planning (node i's backward reads diff i and writes
+  // diff i-1, which sit in different slots), per-node storage
+  // otherwise.
   if (planned) {
-    const Network::SlotPlan& slots = net_->diff_slots();
-    diff_arena_ = runtime::AlignedBuffer<float>(slots.total);
+    diff_arena_ = runtime::AlignedBuffer<float>(net_->slot_arena_floats());
     for (std::size_t i = 0; i < n_layers; ++i) {
-      float* base = diff_arena_.data() + slots.offsets[i];
+      float* base = diff_arena_.data() + net_->slot_offset(i);
       diffs_[i].rebind({base, diffs_[i].size()});
     }
     diff_bytes_ = diff_arena_.size() * sizeof(float);
   } else {
     diff_bytes_ = plan.diff_sum * sizeof(float);
-  }
-
-  // Fan-in merges: replay the backward sweep's write order once. Heads
-  // are seeded from dloss before the sweep; after that the first edge
-  // to reach a producer overwrites its diff, and every later edge —
-  // another consumer, or a repeated edge of the same node — gets a
-  // merge tensor. A node's merge tensors sit side by side in one arena
-  // that every node reuses, sized for the node needing the most. Empty
-  // for sequential networks.
-  merge_.resize(n_layers);
-  std::vector<std::uint8_t> written(n_layers, 0);
-  for (NodeId h : graph.heads()) written[h] = 1;
-  std::size_t merge_floats = 0;
-  for (std::size_t i = n_layers; i-- > 0;) {
-    const std::vector<NodeId>& ins = graph.inputs(i);
-    merge_[i].resize(ins.size());
-    std::size_t floats = 0;
-    for (std::size_t k = 0; k < ins.size(); ++k) {
-      if (ins[k] == kGraphInput) continue;
-      if (written[ins[k]] == 0) {
-        written[ins[k]] = 1;
-        continue;
-      }
-      merge_[i][k] = Tensor(net_->layer(ins[k]).output_shape());
-      floats += merge_[i][k].size();
-    }
-    merge_floats = std::max(merge_floats, floats);
-  }
-  merge_arena_ = runtime::AlignedBuffer<float>(merge_floats);
-  for (std::vector<Tensor>& merges : merge_) {
-    std::size_t off = 0;
-    for (Tensor& m : merges) {
-      if (m.empty()) continue;
-      m.alias({merge_arena_.data() + off, m.size()});
-      off += m.size();
-    }
   }
 
   // Backward scratch: one node's backward runs at a time within a
@@ -220,24 +160,20 @@ void ExecContext::build_training_buffers() {
       off += n;
     }
   }
-
-  if (net_->head_count() > 1) output_ = Tensor(net_->output_shape());
 }
 
 void ExecContext::build_inference_buffers() {
   const Network::MemPlan& plan = net_->mem_plan();
   const std::size_t n_layers = net_->layer_count();
 
-  // Forward-only liveness: an activation dies once its last consumer
-  // ran (heads survive the pass). The interval coloring collapses the
-  // whole pass onto a few max-sized slots — two slots on a linear
-  // chain, the historical even/odd ping-pong.
-  const Network::SlotPlan& slots = net_->act_slots();
-  act_arena_ = runtime::AlignedBuffer<float>(slots.total);
+  // Forward-only: an activation dies once the next node has read it,
+  // so the whole pass collapses onto the two-slot parity arena (the
+  // even/odd ping-pong).
+  act_arena_ = runtime::AlignedBuffer<float>(net_->slot_arena_floats());
   activations_.reserve(n_layers);
   for (std::size_t i = 0; i < n_layers; ++i) {
     Tensor act(net_->layer(i).output_shape());
-    float* base = act_arena_.data() + slots.offsets[i];
+    float* base = act_arena_.data() + net_->slot_offset(i);
     act.rebind({base, act.size()});
     activations_.push_back(std::move(act));
   }
@@ -261,7 +197,6 @@ void ExecContext::build_inference_buffers() {
     exec_[i].workspace = {workspace_arena_.data(), ws};
     exec_[i].workspace_shared = users > 1;
   }
-  if (net_->head_count() > 1) output_ = Tensor(net_->output_shape());
   // No diffs, no backward scratch, no gradients: backward() and
   // params() throw in this mode.
 }
@@ -270,13 +205,13 @@ void ExecContext::build_inference_buffers_bf16() {
   const Network::MemPlan& plan = net_->mem_plan();
   const std::size_t n_layers = net_->layer_count();
 
-  // Same forward-only slot coloring as build_inference_buffers, but
-  // the arena elements are bf16 — the layer outputs never exist in
-  // fp32. No fp32 activation tensors are allocated at all; the only
-  // fp32 tensor is the widened head output forward() returns.
+  // Same parity placement as build_inference_buffers, but the arena
+  // elements are bf16 — the layer outputs never exist in fp32. No fp32
+  // activation tensors are allocated at all; the only fp32 tensor is
+  // the widened output forward() returns.
   input16_ = runtime::AlignedBuffer<bf16_t>(
       static_cast<std::size_t>(net_->input_shape().numel()));
-  act16_arena_ = runtime::AlignedBuffer<bf16_t>(net_->act_slots().total);
+  act16_arena_ = runtime::AlignedBuffer<bf16_t>(net_->slot_arena_floats());
   act_bytes_ = act16_arena_.size() * sizeof(bf16_t);
   output_ = Tensor(net_->output_shape());
 
@@ -345,61 +280,33 @@ const Tensor& ExecContext::forward_staged(runtime::ThreadPool& pool) {
 const Tensor& ExecContext::run_forward(const Tensor& staged,
                                        runtime::ThreadPool& pool) {
   CF_TRACE_SCOPE("net/forward", "dnn");
-  const Graph& graph = net_->graph();
+  const Tensor* src = &staged;
   for (std::size_t i = 0; i < net_->layer_count(); ++i) {
-    src_ptrs_.clear();
-    for (NodeId p : graph.inputs(i)) {
-      src_ptrs_.push_back(p == kGraphInput ? &staged : &activations_[p]);
-    }
     LayerProfile& row = profiles_[i];
     const std::uint64_t start_ns = obs::Tracer::now_ns();
-    net_->layer(i).forward(src_ptrs_, activations_[i], exec_[i], pool);
+    net_->layer(i).forward(*src, activations_[i], exec_[i], pool);
     end_pass(row.fwd, row.fwd_label, row.kind, start_ns);
+    src = &activations_[i];
   }
   forward_done_ = true;
-  // A single head hands back its activation directly (the bitwise path
-  // every sequential network takes); multiple heads concatenate flat
-  // into the context-owned output, in head order.
-  if (net_->head_count() == 1) return activations_[net_->head(0)];
-  for (std::size_t h = 0; h < net_->head_count(); ++h) {
-    const Tensor& act = activations_[net_->head(h)];
-    std::memcpy(output_.data() + net_->head_offset(h), act.data(),
-                act.size() * sizeof(float));
-  }
-  return output_;
+  return *src;
 }
 
 const Tensor& ExecContext::forward_bf16_path(const Tensor& input,
                                              runtime::ThreadPool& pool) {
   CF_TRACE_SCOPE("net/forward", "dnn");
-  const Graph& graph = net_->graph();
-  const Network::SlotPlan& slots = net_->act_slots();
   bf16_from_f32(input.data(), input16_.data(), input.size());
+  const bf16_t* src = input16_.data();
   for (std::size_t i = 0; i < net_->layer_count(); ++i) {
-    const std::vector<NodeId>& ins = graph.inputs(i);
-    if (ins.size() != 1) {
-      // Unreachable in practice: multi-input layers decline kBf16 in
-      // supports_precision, so prepare_inference_precision throws first.
-      throw std::logic_error(
-          "ExecContext: bf16 forward supports single-input nodes only");
-    }
-    const bf16_t* src = ins[0] == kGraphInput
-                            ? input16_.data()
-                            : act16_arena_.data() + slots.offsets[ins[0]];
-    bf16_t* dst = act16_arena_.data() + slots.offsets[i];
+    bf16_t* dst = act16_arena_.data() + net_->slot_offset(i);
     LayerProfile& row = profiles_[i];
     const std::uint64_t start_ns = obs::Tracer::now_ns();
     net_->layer(i).forward_bf16(src, dst, net_->bf16_param_segment(i),
                                 exec_[i], pool);
     end_pass(row.fwd, row.fwd_label, row.kind, start_ns);
+    src = dst;
   }
-  for (std::size_t h = 0; h < net_->head_count(); ++h) {
-    const NodeId head = net_->head(h);
-    const std::size_t numel =
-        static_cast<std::size_t>(net_->layer(head).output_shape().numel());
-    f32_from_bf16(act16_arena_.data() + slots.offsets[head],
-                  output_.data() + net_->head_offset(h), numel);
-  }
+  f32_from_bf16(src, output_.data(), output_.size());
   forward_done_ = true;
   return output_;
 }
@@ -418,58 +325,26 @@ void ExecContext::backward(const Tensor& dloss, runtime::ThreadPool& pool,
         "ExecContext::backward: dloss shape mismatch");
   }
   CF_TRACE_SCOPE("net/backward", "dnn");
-  const Graph& graph = net_->graph();
-  const std::size_t n = net_->layer_count();
+  Tensor& dout = diffs_.back();
+  std::memcpy(dout.data(), dloss.data(), dout.size() * sizeof(float));
 
-  // Seed the head diffs from the per-head slices of dloss. A head that
-  // is also consumed downstream gets its consumers' contributions
-  // merged on top during the sweep.
-  for (std::size_t h = 0; h < net_->head_count(); ++h) {
-    const NodeId head = net_->head(h);
-    std::memcpy(diffs_[head].data(), dloss.data() + net_->head_offset(h),
-                diffs_[head].size() * sizeof(float));
-  }
-
-  for (std::size_t i = n; i-- > 0;) {
+  for (std::size_t i = net_->layer_count(); i-- > 0;) {
     const Layer& layer = net_->layer(i);
-    const std::vector<NodeId>& ins = graph.inputs(i);
-    std::vector<Tensor>& merges = merge_[i];
-    src_ptrs_.clear();
-    dsrc_ptrs_.clear();
-    bool needs_data = false;
-    for (std::size_t k = 0; k < ins.size(); ++k) {
-      const NodeId p = ins[k];
-      if (p == kGraphInput) {
-        // The data gradient toward the network input is skipped.
-        src_ptrs_.push_back(&input_);
-        dsrc_ptrs_.push_back(nullptr);
-      } else {
-        src_ptrs_.push_back(&activations_[p]);
-        dsrc_ptrs_.push_back(merges[k].empty() ? &diffs_[p] : &merges[k]);
-        needs_data = true;
-      }
-    }
+    const Tensor& src = i == 0 ? input_ : activations_[i - 1];
     LayerProfile& row = profiles_[i];
     const bool has_params = net_->segment_size(i) > 0;
     // Bww first: it consumes diffs_[i] (fused layers mask it in place).
     if (has_params) {
       const std::uint64_t start_ns = obs::Tracer::now_ns();
-      layer.backward_weights(src_ptrs_, activations_[i], diffs_[i],
-                             exec_[i], pool);
+      layer.backward_weights(src, activations_[i], diffs_[i], exec_[i],
+                             pool);
       end_pass(row.bwd_weights, row.bww_label, row.kind, start_ns);
     }
-    if (needs_data) {
+    // Node 0's source is the network input: no data gradient.
+    if (i > 0) {
       const std::uint64_t start_ns = obs::Tracer::now_ns();
-      layer.backward_data(src_ptrs_, activations_[i], diffs_[i],
-                          dsrc_ptrs_, exec_[i], pool);
-      // Fan-in: add each merge contribution into its producer's diff,
-      // in edge order. Contributions land in reverse schedule order —
-      // deterministic by construction.
-      for (std::size_t k = 0; k < ins.size(); ++k) {
-        if (!merges[k].empty()) {
-          accumulate_into(diffs_[ins[k]], merges[k], pool);
-        }
-      }
+      layer.backward_data(src, activations_[i], diffs_[i], diffs_[i - 1],
+                          exec_[i], pool);
       end_pass(row.bwd_data, row.bwd_data_label, row.kind, start_ns);
     }
     if (grad_ready && has_params) grad_ready(i);
@@ -534,7 +409,7 @@ std::size_t ExecContext::total_bytes() const noexcept {
          input16_.size() * sizeof(bf16_t) +
          output_.size() * sizeof(float) + activation_bytes() +
          diff_arena_bytes() + scratch_bytes() + workspace_bytes() +
-         grad_bytes() + merge_arena_.size() * sizeof(float);
+         grad_bytes();
 }
 
 }  // namespace cf::dnn

@@ -1,41 +1,38 @@
 // Per-stream execution state for a finalized dnn::Network.
 //
 // The model/stream split (DESIGN.md §2.3): a Network holds only
-// immutable-after-finalize state — the graph (geometry + weights in
-// the flat param arena) and the plans computed by the fusion and
-// memory-planner passes. Everything one execution stream mutates lives
-// here instead: the input staging copy, the activation buffers, the
-// slot-colored diff arena, the shared backward scratch, the flat
-// gradient arena, each node's LayerExecState (forward staging
-// workspace, gradient tensors) and each node's LayerProfile row. N
-// contexts over one Network run forward concurrently against one
-// shared weight copy.
+// immutable-after-finalize state — the layer chain (geometry + weights
+// in the flat param arena) and the plans computed by the fusion and
+// parity-placement passes. Everything one execution stream mutates
+// lives here instead: the input staging copy, the activation buffers,
+// the diff arena, the shared backward scratch, the flat gradient arena,
+// each node's LayerExecState (forward staging workspace, gradient
+// tensors) and each node's LayerProfile row. N contexts over one
+// Network run forward concurrently against one shared weight copy.
 //
-// Execution walks the network's schedule (insertion order, topological
-// by construction). Each node reads its producers' activations by edge;
-// backward walks the reverse schedule. Layers only ever overwrite their
-// dsrc targets, so this context is the one place fan-in gradient
-// contributions are merged — deterministically, in reverse schedule and
-// edge order (DESIGN.md §2.8).
+// Execution walks the chain (DESIGN.md §2.8): node i reads node i-1's
+// activation (node 0 reads the input) and the last node's activation
+// is the output; backward walks it in reverse, and node i's
+// backward_data writes node i-1's diff.
 //
 // The schedule loop is also the one place a layer is timed (Table I):
 // one pair of tracer clock readings around each node's forward,
-// backward_weights and backward_data (fan-in merges included) feeds
-// that node's profile row and, when telemetry is compiled in and the
-// tracer is on, the matching `{layer}/fwd`, `{layer}/bww` or
-// `{layer}/bwd_data` span — so trace and profile are one measurement.
+// backward_weights and backward_data feeds that node's profile row
+// and, when telemetry is compiled in and the tracer is on, the
+// matching `{layer}/fwd`, `{layer}/bww` or `{layer}/bwd_data` span —
+// so trace and profile are one measurement.
 //
 // ExecMode picks what gets allocated:
 //  * kTraining — the full set. Buffer placement matches the planner
-//    exactly (slot-colored diff arena + shared scratch when the network
-//    was finalized with memory planning, per-node buffers otherwise),
-//    so a training step through a context is bitwise identical to the
-//    pre-IR sequential step.
+//    exactly (parity-placed diff arena + shared scratch when the
+//    network was finalized with memory planning, per-node buffers
+//    otherwise); the planned step is bitwise identical to the
+//    unplanned one.
 //  * kInference — forward-only: activations collapse onto the
-//    interval-liveness slot arena (on a linear chain, the historical
-//    even/odd ping-pong), one shared conv staging workspace sized to
-//    the largest request, and *no* diff/scratch/grad arenas at all.
-//    backward(), zero_grads() and params() throw.
+//    two-slot parity arena (even/odd ping-pong), one shared conv
+//    staging workspace sized to the largest request, and *no*
+//    diff/scratch/grad arenas at all. backward(), zero_grads() and
+//    params() throw.
 #pragma once
 
 #include <functional>
@@ -62,7 +59,7 @@ class ExecContext {
   /// (Network::prepare_inference_precision) — make_context enforces
   /// both. In kBf16 the activation slot arena and the input staging
   /// copy are bf16 (half the bytes); the forward() return value is
-  /// still an fp32 tensor, widened from the head's output.
+  /// still an fp32 tensor, widened from the last node's output.
   explicit ExecContext(Network& net, ExecMode mode,
                        Precision precision = Precision::kFp32);
 
@@ -75,13 +72,12 @@ class ExecContext {
   Precision precision() const noexcept { return precision_; }
 
   /// Runs the forward pass through this stream; the returned view stays
-  /// valid until the next forward() on the same context. A single-head
-  /// network returns the head's activation directly; multiple heads are
-  /// concatenated flat, in head order. Training contexts stage `input`
-  /// into the context-owned input copy first (backward re-reads it);
-  /// fp32 *inference* contexts skip that staging copy entirely
-  /// and read `input` in place — `input` must stay alive and unmodified
-  /// until forward returns.
+  /// valid until the next forward() on the same context. fp32 contexts
+  /// return the last node's activation directly. Training contexts
+  /// stage `input` into the context-owned input copy first (backward
+  /// re-reads it); fp32 *inference* contexts skip that staging copy
+  /// entirely and read `input` in place — `input` must stay alive and
+  /// unmodified until forward returns.
   const tensor::Tensor& forward(const tensor::Tensor& input,
                                 runtime::ThreadPool& pool);
 
@@ -98,7 +94,7 @@ class ExecContext {
   const tensor::Tensor& forward_staged(runtime::ThreadPool& pool);
 
   /// Invoked by backward() right after node `i`'s whole backward pass
-  /// (both halves and its fan-in merges) finishes, i.e. the moment
+  /// (both halves) finishes, i.e. the moment
   /// grad_segment(i) holds this step's final local gradients. Nodes are
   /// visited in reverse schedule order, so segments become ready
   /// tail-first and contiguously — callers can coalesce them into
@@ -107,13 +103,11 @@ class ExecContext {
   using GradReadyCallback = std::function<void(std::size_t layer_index)>;
 
   /// Runs the backward pass from the loss gradient w.r.t. the network
-  /// output (per-head slices of `dloss` seed the head diffs). Parameter
-  /// gradients accumulate into this context's grad arena; data
-  /// gradients toward the network input are skipped (the input is data,
-  /// §V-A workflow). A diff receiving several contributions — fan-out
-  /// nodes, consumed heads — is summed deterministically in reverse
-  /// schedule / edge order. Requires a preceding forward() on this
-  /// context; training mode only.
+  /// output, which seeds the last node's diff. Parameter gradients
+  /// accumulate into this context's grad arena; node 0's data gradient
+  /// is skipped (its source is the network input, which is data —
+  /// §V-A workflow). Requires a preceding forward() on this context;
+  /// training mode only.
   void backward(const tensor::Tensor& dloss, runtime::ThreadPool& pool,
                 const GradReadyCallback& grad_ready = {});
 
@@ -155,10 +149,9 @@ class ExecContext {
   const tensor::Tensor& diff(std::size_t i) const { return diffs_[i]; }
 
   /// Per-layer timing rows for Table I / Fig 3, one per node in
-  /// schedule order, filled by this stream's schedule loop. A node
-  /// whose every data-gradient target is null (the one reading the
-  /// graph input) records no bwd_data sample; a parameterless node
-  /// records no bwd_weights sample.
+  /// schedule order, filled by this stream's schedule loop. Node 0
+  /// records no bwd_data sample (its source is the network input); a
+  /// parameterless node records no bwd_weights sample.
   const std::vector<LayerProfile>& profiles() const noexcept {
     return profiles_;
   }
@@ -187,8 +180,8 @@ class ExecContext {
   std::size_t peak_tensor_bytes() const noexcept {
     return activation_bytes() + diff_arena_bytes() + scratch_bytes();
   }
-  /// Everything: input staging + activations + diffs + scratch +
-  /// workspace + grads + fan-in merge buffers.
+  /// Everything: input staging + output + activations + diffs +
+  /// scratch + workspace + grads.
   std::size_t total_bytes() const noexcept;
 
  private:
@@ -212,40 +205,25 @@ class ExecContext {
   std::vector<LayerProfile> profiles_;       // one per node
 
   // kBf16 stream storage: bf16 input staging, bf16 activation slot
-  // arena (offsets identical to the fp32 act slots) and the fp32
-  // widening of the head outputs that forward() returns.
+  // arena (parity offsets, as the fp32 inference arena) and output_,
+  // the fp32 widening of the last node's output that forward()
+  // returns. fp32 contexts leave output_ unallocated.
   runtime::AlignedBuffer<bf16_t> input16_;
   runtime::AlignedBuffer<bf16_t> act16_arena_;
-  // The concatenated multi-head output (fp32; also the bf16 widening
-  // target). Unallocated for single-head fp32 contexts — those
-  // return the head activation itself.
   tensor::Tensor output_;
 
-  // Context-owned storage. act_arena_ backs the inference slot-colored
+  // Context-owned storage. act_arena_ backs the inference parity-placed
   // activations (training activations own per-node storage);
-  // diff_arena_ backs the slot-colored diff buffers when the network
+  // diff_arena_ backs the parity-placed diff buffers when the network
   // was planned; scratch_arena_ the backward scratch; workspace_arena_
-  // the forward staging regions; grad_arena_ the flat gradients;
-  // merge_arena_ the fan-in merge buffers.
+  // the forward staging regions; grad_arena_ the flat gradients.
   runtime::AlignedBuffer<float> act_arena_;
   runtime::AlignedBuffer<float> diff_arena_;
   runtime::AlignedBuffer<float> scratch_arena_;
   runtime::AlignedBuffer<float> workspace_arena_;
   runtime::AlignedBuffer<float> grad_arena_;
-  runtime::AlignedBuffer<float> merge_arena_;
   std::size_t act_bytes_ = 0;   // per-node sum (training) / arena size
   std::size_t diff_bytes_ = 0;  // per-node sum or slot-arena size
-
-  // Fan-in merges, [node][edge]: an edge whose producer's diff already
-  // holds a contribution when the node runs backward gets a merge
-  // tensor (aliasing merge_arena_) for the layer to write, which
-  // backward() then adds into the producer's diff. Other entries are
-  // empty; training contexts only.
-  std::vector<std::vector<tensor::Tensor>> merge_;
-
-  // Reusable per-node gather of the layer's inputs and dsrc targets.
-  std::vector<const tensor::Tensor*> src_ptrs_;
-  std::vector<tensor::Tensor*> dsrc_ptrs_;
 
   bool forward_done_ = false;
 };

@@ -17,9 +17,7 @@ Flatten::Flatten(std::string name, std::int64_t channels)
   }
 }
 
-Shape Flatten::plan(std::span<const Shape> inputs) {
-  check_inputs(inputs.size());
-  const Shape& input = inputs[0];
+Shape Flatten::plan(const Shape& input) {
   if (input.rank() != 5 || input[4] != kChannelBlock ||
       input[0] != tensor::blocked_channel_count(channels_)) {
     throw std::invalid_argument("Flatten::plan: expected blocked input "
@@ -34,10 +32,9 @@ Shape Flatten::plan(std::span<const Shape> inputs) {
   return out;
 }
 
-void Flatten::forward(Inputs srcs, Tensor& dst, LayerExecState& /*exec*/,
+void Flatten::forward(const Tensor& src, Tensor& dst,
+                      LayerExecState& /*exec*/,
                       runtime::ThreadPool& pool) const {
-  check_inputs(srcs.size());
-  const Tensor& src = *srcs[0];
   if (src.shape() != input_shape() || dst.shape() != output_shape()) {
     throw std::invalid_argument("Flatten::forward: shape mismatch");
   }
@@ -64,13 +61,10 @@ void Flatten::forward(Inputs srcs, Tensor& dst, LayerExecState& /*exec*/,
       grain);
 }
 
-void Flatten::backward_data(Inputs srcs, const Tensor& /*dst*/,
-                            const Tensor& ddst, InputGrads dsrcs,
+void Flatten::backward_data(const Tensor& /*src*/, const Tensor& /*dst*/,
+                            const Tensor& ddst, Tensor& dsrc,
                             LayerExecState& /*exec*/,
                             runtime::ThreadPool& pool) const {
-  check_inputs(srcs.size(), dsrcs.size());
-  if (dsrcs[0] == nullptr) return;
-  Tensor& dsrc = *dsrcs[0];
   if (ddst.shape() != output_shape() || dsrc.shape() != input_shape()) {
     throw std::invalid_argument("Flatten::backward_data: shape mismatch");
   }

@@ -17,12 +17,13 @@ class Flatten final : public Layer {
 
   std::string kind() const override { return "reorder"; }
 
-  tensor::Shape plan(std::span<const tensor::Shape> inputs) override;
+  tensor::Shape plan(const tensor::Shape& input) override;
 
-  void forward(Inputs srcs, tensor::Tensor& dst, LayerExecState& exec,
+  void forward(const tensor::Tensor& src, tensor::Tensor& dst,
+               LayerExecState& exec,
                runtime::ThreadPool& pool) const override;
-  void backward_data(Inputs srcs, const tensor::Tensor& dst,
-                     const tensor::Tensor& ddst, InputGrads dsrcs,
+  void backward_data(const tensor::Tensor& src, const tensor::Tensor& dst,
+                     const tensor::Tensor& ddst, tensor::Tensor& dsrc,
                      LayerExecState& exec,
                      runtime::ThreadPool& pool) const override;
 
@@ -35,10 +36,6 @@ class Flatten final : public Layer {
   void forward_bf16(const bf16_t* src, bf16_t* dst,
                     std::span<const bf16_t> params, LayerExecState& exec,
                     runtime::ThreadPool& pool) const override;
-
-  std::unique_ptr<Layer> clone_unplanned() const override {
-    return std::make_unique<Flatten>(name(), channels_);
-  }
 
  private:
   std::int64_t channels_ = 0;

@@ -17,16 +17,14 @@
 // drivers (unit tests, kernel benches) own theirs in a
 // dnn::StandaloneExec.
 //
-// Each pass has exactly one entry point, taking the node's inputs in
-// graph edge order (DESIGN.md §2.8): plan, forward, backward_weights,
-// backward_data, plus forward_bf16 as the one reduced-precision
-// sibling. A single-input layer receives one-element spans; a wrong
-// count throws. Layers do not time themselves: the driver (the
-// ExecContext schedule loop) times each pass around the call.
+// Each pass has exactly one entry point over one source tensor (the
+// network is a chain, DESIGN.md §2.8): plan, forward,
+// backward_weights, backward_data, plus forward_bf16 as the one
+// reduced-precision sibling. Layers do not time themselves: the caller
+// (the ExecContext schedule loop) times each pass around the call.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -122,11 +120,6 @@ struct LayerExecState {
   std::size_t intraop_grain = 1;
 };
 
-/// A node's input tensors in edge order, and the matching data-gradient
-/// targets for backward (null = not needed).
-using Inputs = std::span<const tensor::Tensor* const>;
-using InputGrads = std::span<tensor::Tensor* const>;
-
 class Layer {
  public:
   explicit Layer(std::string name) : name_(std::move(name)) {}
@@ -141,23 +134,10 @@ class Layer {
   /// category key for the Fig 3 breakdown.
   virtual std::string kind() const = 0;
 
-  /// Number of input tensors this layer consumes (graph fan-in); every
-  /// pass gets exactly this many, in edge order.
-  virtual std::size_t arity() const { return 1; }
-
-  /// Validates the input shapes and computes the output shape; called
+  /// Validates the input shape and computes the output shape; called
   /// once by Network::finalize. Allocates parameters and records
   /// geometry.
-  virtual tensor::Shape plan(std::span<const tensor::Shape> inputs) = 0;
-
-  /// Fresh, un-planned copy of this layer: same constructor arguments,
-  /// same fusion state, no geometry and no weights — the raw material
-  /// Network::make_shape_view re-plans at another input shape. Layers
-  /// that cannot be re-planned keep the throwing default.
-  virtual std::unique_ptr<Layer> clone_unplanned() const {
-    throw std::logic_error("Layer::clone_unplanned: " + name_ +
-                           " does not support per-shape cloning");
-  }
+  virtual tensor::Shape plan(const tensor::Shape& input) = 0;
 
   const tensor::Shape& input_shape() const noexcept { return input_shape_; }
   const tensor::Shape& output_shape() const noexcept {
@@ -167,7 +147,7 @@ class Layer {
   /// dst must have output_shape(). `exec` carries this stream's
   /// mutable state; the method is const on the layer so concurrent
   /// streams may share one layer object.
-  virtual void forward(Inputs srcs, tensor::Tensor& dst,
+  virtual void forward(const tensor::Tensor& src, tensor::Tensor& dst,
                        LayerExecState& exec,
                        runtime::ThreadPool& pool) const = 0;
 
@@ -175,8 +155,8 @@ class Layer {
   // (Bww) and data-gradient (Bwd) halves apart (Table I). A driver
   // calls backward_weights first — it *consumes* ddst: fused layers
   // mask it in place with the activation derivative, and
-  // backward_data then reads the masked values. `srcs` are the forward
-  // inputs and `dst` this layer's own forward output, from which layers
+  // backward_data then reads the masked values. `src` is the forward
+  // input and `dst` this layer's own forward output, from which layers
   // with a fused eltwise epilogue recover the activation-derivative
   // mask. ddst is dead after the pair (the backward sweep never
   // re-reads a layer's ddst).
@@ -184,18 +164,17 @@ class Layer {
   /// Accumulates parameter gradients into `exec.grads` (callers zero
   /// them per step). Parameterless layers keep this no-op default; a
   /// driver may skip the call for them.
-  virtual void backward_weights(Inputs /*srcs*/,
+  virtual void backward_weights(const tensor::Tensor& /*src*/,
                                 const tensor::Tensor& /*dst*/,
                                 tensor::Tensor& /*ddst*/,
                                 LayerExecState& /*exec*/,
                                 runtime::ThreadPool& /*pool*/) const {}
 
-  /// For every non-null `dsrcs[k]`, d(loss)/d(input k), which
-  /// *overwrites* dsrcs[k]: merging the contributions of several
-  /// consumers is the execution context's job (DESIGN.md §2.8). A
-  /// driver may skip the call when every dsrc is null.
-  virtual void backward_data(Inputs srcs, const tensor::Tensor& dst,
-                             const tensor::Tensor& ddst, InputGrads dsrcs,
+  /// d(loss)/d(src), which *overwrites* dsrc. The ExecContext skips
+  /// the call for node 0, whose source is the network input (data).
+  virtual void backward_data(const tensor::Tensor& src,
+                             const tensor::Tensor& dst,
+                             const tensor::Tensor& ddst, tensor::Tensor& dsrc,
                              LayerExecState& exec,
                              runtime::ThreadPool& pool) const = 0;
 
@@ -277,20 +256,6 @@ class Layer {
   void set_shapes(const tensor::Shape& in, const tensor::Shape& out) {
     input_shape_ = in;
     output_shape_ = out;
-  }
-
-  /// Throws std::invalid_argument unless a pass got arity() inputs (and
-  /// as many gradient targets).
-  void check_inputs(std::size_t inputs) const {
-    if (inputs != arity()) {
-      throw std::invalid_argument(name_ + ": expected " +
-                                  std::to_string(arity()) + " input(s), got " +
-                                  std::to_string(inputs));
-    }
-  }
-  void check_inputs(std::size_t inputs, std::size_t grads) const {
-    check_inputs(inputs);
-    check_inputs(grads);
   }
 
  private:

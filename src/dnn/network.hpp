@@ -1,20 +1,15 @@
 // Network container — the *model* half of the model/stream split
-// (DESIGN.md §2.3), organized as a graph IR (DESIGN.md §2.8). The
-// Network owns a dnn::Graph (node = layer, edge = tensor, fan-out and
-// multiple output heads allowed) whose insertion order is the
-// topologically-sorted execution schedule. After finalize() a Network
-// is immutable: it owns the layers (geometry + weights), the flat
+// (DESIGN.md §2.3). A network is the paper's chain (DESIGN.md §2.8): an
+// ordered list of layers in which node i reads node i-1's output, node
+// 0 reads the network input and the last node is the output; the list
+// order is the execution schedule. After finalize() a Network is
+// immutable: it owns the layers (geometry + weights), the flat
 // contiguous parameter arena every weight tensor is rebound onto, and
-// the plans computed by the edge-aware fusion and interval-liveness
-// memory-planner passes. Nothing here changes during a step, so any
-// number of execution streams can run against one Network concurrently
-// — each stream's mutable state (activations, diffs, scratch,
-// gradients, staging) lives in a dnn::ExecContext created via
-// make_context().
-//
-// Sequential networks built through add()/emplace() lower onto linear
-// graphs and stay bitwise identical to the pre-IR container end to end
-// (trajectories, fused pairs, planned byte budgets).
+// the plans computed by the fusion and parity-placement passes.
+// Nothing here changes during a step, so any number of execution
+// streams can run against one Network concurrently — each stream's
+// mutable state (activations, diffs, scratch, gradients, staging)
+// lives in a dnn::ExecContext created via make_context().
 #pragma once
 
 #include <memory>
@@ -23,7 +18,6 @@
 #include <vector>
 
 #include "dnn/exec_context.hpp"
-#include "dnn/graph.hpp"
 #include "dnn/layer.hpp"
 #include "dnn/precision.hpp"
 #include "runtime/aligned_buffer.hpp"
@@ -34,9 +28,9 @@ class Network {
  public:
   Network() = default;
 
-  /// Adds a layer consuming the previously added one (the network input
-  /// for the first layer) — the sequential sugar every linear topology
-  /// uses; returns a reference for further configuration.
+  /// Appends a layer consuming the previously added one (the network
+  /// input for the first layer); returns a reference for further
+  /// configuration.
   template <typename L, typename... Args>
   L& emplace(Args&&... args) {
     auto layer = std::make_unique<L>(std::forward<Args>(args)...);
@@ -45,57 +39,36 @@ class Network {
     return ref;
   }
 
+  /// Throws std::invalid_argument on a null layer and
+  /// std::logic_error after finalize().
   void add(std::unique_ptr<Layer> layer);
 
-  /// Graph-building interface (DESIGN.md §2.8): appends a node
-  /// consuming the named producers (kGraphInput = the network input).
-  /// Node ids are schedule positions; inputs must already exist.
-  NodeId add_node(std::unique_ptr<Layer> layer, std::vector<NodeId> inputs);
-
-  template <typename L, typename... Args>
-  NodeId emplace_node(std::vector<NodeId> inputs, Args&&... args) {
-    return add_node(std::make_unique<L>(std::forward<Args>(args)...),
-                    std::move(inputs));
-  }
-
-  /// Declares the output heads (before finalize; default: the last
-  /// node). A multi-head network's output_shape() is the flat
-  /// concatenation {sum of head numels}, in head order.
-  void set_heads(std::vector<NodeId> heads);
-
-  const Graph& graph() const noexcept { return graph_; }
-
   /// When enabled (before finalize), finalize() runs an MKL-DNN-style
-  /// post-op fusion pass: every Conv3d→LeakyRelu / Dense→LeakyRelu edge
-  /// whose activation is the producer's *sole* consumer is collapsed
-  /// into the producer layer (forward epilogue + backward mask) and the
-  /// standalone activation node — its two buffers and its two
-  /// full-tensor sweeps — disappears. Off by default so hand-built test
-  /// networks keep their literal layer list; build_network() turns it
-  /// on.
+  /// post-op fusion pass over adjacent pairs: a LeakyRelu at node i+1
+  /// folds into node i when node i accepts it (Conv3d, Dense), which
+  /// takes the activation into its forward epilogue and backward mask;
+  /// the standalone activation node — its two buffers and its two
+  /// full-tensor sweeps — disappears. A LeakyRelu at node 0 stays. Off
+  /// by default so hand-built test networks keep their literal layer
+  /// list; build_network() turns it on.
   void set_fuse_eltwise(bool enabled) noexcept { fuse_eltwise_ = enabled; }
   bool fuse_eltwise() const noexcept { return fuse_eltwise_; }
   /// Number of activation layers absorbed by the fusion pass.
   std::size_t fused_pairs() const noexcept { return fused_pairs_; }
 
   /// When enabled (before finalize), training contexts place their
-  /// buffers with the liveness-based memory planner (DESIGN.md §2.2 /
-  /// §2.8): every diff tensor's live interval over the reverse schedule
-  /// is computed (born at its first gradient contribution, dead once
-  /// its own node's backward consumed it) and greedily colored onto a
-  /// minimal set of max-sized slots; backward scratch is served from
-  /// one shared arena sized to the largest request. On a linear chain
-  /// the slot coloring reduces exactly to the old layer-index-parity
-  /// ping-pong. Placement-only: the planned step is bitwise identical
-  /// to the unplanned one. Off by default so hand-built test networks
-  /// keep per-layer buffers; build_network() turns it on.
+  /// diffs by parity (slot_offset; DESIGN.md §2.2 / §2.8) and serve
+  /// backward scratch from one shared arena sized to the largest
+  /// request. Placement-only: the planned step is bitwise identical to
+  /// the unplanned one. Off by default so hand-built test networks keep
+  /// per-layer buffers; build_network() turns it on.
   void set_memory_planning(bool enabled) noexcept { memplan_ = enabled; }
   bool memory_planning() const noexcept { return memplan_; }
 
   /// Plans every node over the schedule, allocating parameters,
   /// building the param arena and recording the buffer plans contexts
-  /// are built from. Must be called exactly once, after all nodes are
-  /// added.
+  /// are built from. Must be called exactly once, after all layers are
+  /// added; throws std::logic_error when there are none.
   void finalize(const tensor::Shape& input_shape);
   bool finalized() const noexcept { return finalized_; }
 
@@ -130,36 +103,14 @@ class Network {
   /// kTraining here throws.
   ExecContext make_context(ExecMode mode) const;
 
-  /// Variable input-size inference (DESIGN.md §2.8): a *shape view* is
-  /// a second Network with the same topology re-planned at another
-  /// input shape, whose weight tensors alias this network's param arena
-  /// — zero weight copies, so reloading/retraining the parent is
-  /// immediately visible through every view. Views are inference-only
-  /// (kTraining contexts, param_arena(), copy/set_params and the bf16
-  /// arena throw on a view).
-  /// Requires every layer to be clone-able (clone_unplanned) and every
-  /// parameter shape to be input-size-invariant — a fixed-feature dense
-  /// head behind Flatten throws here; GlobalAvgPool heads qualify. The
-  /// parent must outlive its views.
-  std::unique_ptr<Network> make_shape_view(
-      const tensor::Shape& input_shape) const;
-  /// True when this network's weights alias another network's arena.
-  bool is_shape_view() const noexcept { return weights_shared_; }
-
-  std::size_t layer_count() const noexcept { return graph_.size(); }
-  Layer& layer(std::size_t i) { return graph_.layer(i); }
-  const Layer& layer(std::size_t i) const { return graph_.layer(i); }
+  std::size_t layer_count() const noexcept { return layers_.size(); }
+  Layer& layer(std::size_t i) { return *layers_[i]; }
+  const Layer& layer(std::size_t i) const { return *layers_[i]; }
 
   const tensor::Shape& input_shape() const noexcept { return input_shape_; }
   const tensor::Shape& output_shape() const noexcept {
     return output_shape_;
   }
-
-  /// Output heads (valid after finalize; {last node} by default).
-  std::size_t head_count() const noexcept { return graph_.heads().size(); }
-  NodeId head(std::size_t h) const { return graph_.heads()[h]; }
-  /// Float offset of head h's slice in the concatenated network output.
-  std::size_t head_offset(std::size_t h) const { return head_offsets_[h]; }
 
   std::int64_t param_count() const;
   std::size_t param_bytes() const {
@@ -168,8 +119,9 @@ class Network {
 
   // Flat arena view (valid after finalize). Layout is schedule order,
   // parameter-tensor order — identical to the copy_params_to layout.
-  // Throws on a shape view (the weights live in the parent's arena).
-  std::span<float> param_arena();
+  std::span<float> param_arena() {
+    return {param_arena_.data(), param_arena_.size()};
+  }
   /// Layer i's slice of the arena (empty for parameterless layers).
   std::span<float> param_segment(std::size_t i) {
     return param_arena().subspan(segment_offsets_[i], segment_sizes_[i]);
@@ -205,14 +157,13 @@ class Network {
     return {bf16_arena_.data() + segment_offsets_[i], segment_sizes_[i]};
   }
 
-  /// Total per-sample flops; `skip_first_bwd_data` drops the unneeded
-  /// data gradient of nodes reading only the network input (the
+  /// Total per-sample flops; `skip_first_bwd_data` drops node 0's
+  /// unneeded data gradient (its source is the network input; the
   /// default, matching the real workload).
   FlopCounts flops(bool skip_first_bwd_data = true) const;
 
   // Flat vector interface (checkpoints, tests). Order is schedule
-  // order, value tensor order — a straight copy of the arena. Throws on
-  // a shape view (use the parent).
+  // order, value tensor order — a straight copy of the arena.
   void copy_params_to(std::span<float> out) const;
   void set_params_from(std::span<const float> in);
 
@@ -239,33 +190,27 @@ class Network {
   };
   const MemPlan& mem_plan() const noexcept { return mem_plan_; }
 
-  /// Interval-liveness slot coloring over the schedule (DESIGN.md
-  /// §2.8): node i's tensor lives at arena offset offsets[i]; `total`
-  /// is the arena size in floats. Two tensors share an offset only if
-  /// their live intervals are disjoint. Slots are canonically ordered
-  /// by the smallest node id they serve, which on a linear chain
-  /// reproduces the historical even/odd parity placement exactly.
-  struct SlotPlan {
-    std::vector<std::size_t> offsets;  // per node, floats
-    std::size_t total = 0;
-    std::size_t slot_count = 0;
-  };
-  /// Forward-pass activation slots (inference contexts collapse their
-  /// activations onto these; training keeps per-node storage).
-  const SlotPlan& act_slots() const noexcept { return act_slots_; }
-  /// Reverse-pass diff slots (training contexts, when planning is on).
-  const SlotPlan& diff_slots() const noexcept { return diff_slots_; }
+  /// Parity placement (DESIGN.md §2.8). On a chain, node i's output
+  /// is dead once node i+1's forward has read it, and its diff once
+  /// node i's own backward has, so node i and node i+2 are never live
+  /// at once: even nodes share the slot at offset 0 and odd nodes the
+  /// slot after the largest even node. Inference contexts place their
+  /// activations this way, planned training contexts their diffs.
+  std::size_t slot_offset(std::size_t i) const noexcept {
+    return i % 2 == 0 ? 0 : even_slot_floats_;
+  }
+  /// The two-slot arena in floats: largest even node + largest odd node.
+  std::size_t slot_arena_floats() const noexcept { return slot_floats_; }
 
  private:
+  void fuse_activations();
   void build_arena();
   void plan_memory();
 
-  Graph graph_;
+  std::vector<std::unique_ptr<Layer>> layers_;
   // Contiguous parameter storage; layer weight tensors are views into
-  // this after finalize() (see build_arena). Empty on a shape view —
-  // the tensors alias the parent's arena instead.
+  // this after finalize() (see build_arena).
   runtime::AlignedBuffer<float> param_arena_;
-  std::size_t param_total_ = 0;               // floats, set by finalize
   std::vector<std::size_t> segment_offsets_;  // per layer, in floats
   std::vector<std::size_t> segment_sizes_;
   // bf16 side arena (prepare_inference_precision), mirroring
@@ -273,17 +218,14 @@ class Network {
   runtime::AlignedBuffer<bf16_t> bf16_arena_;
   bool bf16_prepared_ = false;
   MemPlan mem_plan_;
-  SlotPlan act_slots_;
-  SlotPlan diff_slots_;
-  std::vector<std::size_t> head_offsets_;
+  std::size_t even_slot_floats_ = 0;  // largest even node
+  std::size_t slot_floats_ = 0;       // + largest odd node
   tensor::Shape input_shape_;
   tensor::Shape output_shape_;
   bool finalized_ = false;
   bool fuse_eltwise_ = false;
   bool memplan_ = false;
-  bool weights_shared_ = false;  // shape view: params alias the parent
   std::size_t fused_pairs_ = 0;
-  NodeId last_node_ = kGraphInput;  // tail of the add() chain
 };
 
 }  // namespace cf::dnn

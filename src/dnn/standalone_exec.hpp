@@ -13,11 +13,6 @@
 
 namespace cf::dnn {
 
-/// plan() of a single-input layer.
-inline tensor::Shape plan_single(Layer& layer, const tensor::Shape& input) {
-  return layer.plan({&input, 1});
-}
-
 struct StandaloneExec {
   /// Sizes the state for a planned `layer`, which must outlive it.
   explicit StandaloneExec(Layer& l)
@@ -36,8 +31,7 @@ struct StandaloneExec {
 
   void forward(const tensor::Tensor& src, tensor::Tensor& dst,
                runtime::ThreadPool& pool) {
-    const tensor::Tensor* srcs[] = {&src};
-    layer.forward(srcs, dst, state, pool);
+    layer.forward(src, dst, state, pool);
   }
 
   /// backward_weights, then backward_data — the order the Layer
@@ -45,10 +39,10 @@ struct StandaloneExec {
   void backward(const tensor::Tensor& src, const tensor::Tensor& dst,
                 tensor::Tensor& ddst, tensor::Tensor* dsrc,
                 runtime::ThreadPool& pool) {
-    const tensor::Tensor* srcs[] = {&src};
-    tensor::Tensor* dsrcs[] = {dsrc};
-    layer.backward_weights(srcs, dst, ddst, state, pool);
-    layer.backward_data(srcs, dst, ddst, dsrcs, state, pool);
+    layer.backward_weights(src, dst, ddst, state, pool);
+    if (dsrc != nullptr) {
+      layer.backward_data(src, dst, ddst, *dsrc, state, pool);
+    }
   }
 
   Layer& layer;

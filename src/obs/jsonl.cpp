@@ -72,6 +72,12 @@ JsonObject& JsonObject::field(std::string_view k, bool value) {
   return *this;
 }
 
+JsonObject& JsonObject::field(std::string_view k, const JsonObject& value) {
+  key(k);
+  body_ += value.str();
+  return *this;
+}
+
 JsonlSink::JsonlSink(const std::string& path) : path_(path) {
   file_ = std::fopen(path.c_str(), "w");
 }

@@ -31,6 +31,8 @@ class JsonObject {
     return field(key, std::string_view(value));
   }
   JsonObject& field(std::string_view key, bool value);
+  /// A nested object.
+  JsonObject& field(std::string_view key, const JsonObject& value);
 
   /// The completed `{...}` object.
   std::string str() const { return body_ + "}"; }

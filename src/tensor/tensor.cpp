@@ -40,17 +40,6 @@ void Tensor::rebind(std::span<float> storage) {
   view_size_ = storage.size();
 }
 
-void Tensor::alias(std::span<float> storage) {
-  if (storage.size() != size()) {
-    throw std::invalid_argument(
-        "Tensor::alias: storage size does not match shape " +
-        shape_.to_string());
-  }
-  data_ = runtime::AlignedBuffer<float>{};  // release owned storage
-  view_ = storage.data();
-  view_size_ = storage.size();
-}
-
 std::size_t Tensor::flat_index(
     std::initializer_list<std::int64_t> index) const {
   if (index.size() != shape_.rank()) {

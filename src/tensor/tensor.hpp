@@ -67,15 +67,7 @@ class Tensor {
   /// only ever touch data()/values().
   void rebind(std::span<float> storage);
 
-  /// Like rebind(), but without the content copy: the tensor simply
-  /// starts reading/writing `storage` as-is. Used where the target
-  /// already holds the authoritative values (a shape view aliasing its
-  /// parent network's weight arena) — a copy there would clobber them
-  /// and race with concurrent readers.
-  void alias(std::span<float> storage);
-
-  /// False once rebind()/alias() has pointed the tensor at an arena
-  /// segment.
+  /// False once rebind() has pointed the tensor at an arena segment.
   bool owns_storage() const noexcept { return view_ == nullptr; }
 
   std::vector<float> to_vector() const;

@@ -231,6 +231,7 @@ TEST(MlComm, TwoCommunicatorsKeepTheirOwnStats) {
 
 TEST(MlComm, RejectsBadConfiguration) {
   EXPECT_THROW(MlComm(0, MlCommConfig{}), std::invalid_argument);
+  EXPECT_THROW(MlComm(-1, MlCommConfig{}), std::invalid_argument);
   MlCommConfig bad;
   bad.chunk_elems = 0;
   EXPECT_THROW(MlComm(2, bad), std::invalid_argument);

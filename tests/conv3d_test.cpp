@@ -51,7 +51,7 @@ class BlockedConvVsReference : public ::testing::TestWithParam<ConvCase> {
     const Shape in_shape = conv_->input_is_plain()
                                ? plain_src_.shape()
                                : Shape{c.ic / 16, c.dhw, c.dhw, c.dhw, 16};
-    plan_single(*conv_, in_shape);
+    conv_->plan(in_shape);
     conv_->set_plain_weights(plain_weights_, bias_);
     exec_ = std::make_unique<StandaloneExec>(*conv_);
 
@@ -177,16 +177,16 @@ TEST(Conv3d, RejectsBadConfigs) {
 
 TEST(Conv3d, PlanRejectsMismatchedInput) {
   Conv3d conv("c", Conv3dConfig{16, 16, 3, 1, Padding::kSame});
-  EXPECT_THROW(plan_single(conv, Shape{16, 6, 6, 6}), std::invalid_argument);
-  EXPECT_THROW(plan_single(conv, Shape{2, 6, 6, 6, 16}),
+  EXPECT_THROW(conv.plan(Shape{16, 6, 6, 6}), std::invalid_argument);
+  EXPECT_THROW(conv.plan(Shape{2, 6, 6, 6, 16}),
                std::invalid_argument);
   Conv3d first("c", Conv3dConfig{1, 16, 3, 1, Padding::kSame});
-  EXPECT_THROW(plan_single(first, Shape{2, 6, 6, 6}), std::invalid_argument);
+  EXPECT_THROW(first.plan(Shape{2, 6, 6, 6}), std::invalid_argument);
 }
 
 TEST(Conv3d, ForwardValidatesShapes) {
   Conv3d conv("c", Conv3dConfig{16, 16, 3, 1, Padding::kSame});
-  plan_single(conv, Shape{1, 4, 4, 4, 16});
+  conv.plan(Shape{1, 4, 4, 4, 16});
   StandaloneExec exec(conv);
   runtime::ThreadPool pool(1);
   Tensor bad_src(Shape{1, 5, 4, 4, 16});
@@ -196,7 +196,7 @@ TEST(Conv3d, ForwardValidatesShapes) {
 
 TEST(Conv3d, FlopCountMatchesFormula) {
   Conv3d conv("c", Conv3dConfig{16, 32, 3, 1, Padding::kSame});
-  plan_single(conv, Shape{1, 8, 8, 8, 16});
+  conv.plan(Shape{1, 8, 8, 8, 16});
   const FlopCounts f = conv.flops();
   // 2 * 8^3 * 32 * 16 * 27
   EXPECT_EQ(f.fwd, 2LL * 512 * 32 * 16 * 27);
@@ -206,13 +206,13 @@ TEST(Conv3d, FlopCountMatchesFormula) {
 
 TEST(Conv3d, ParamCountIncludesBias) {
   Conv3d conv("c", Conv3dConfig{16, 32, 3, 1, Padding::kSame});
-  plan_single(conv, Shape{1, 8, 8, 8, 16});
+  conv.plan(Shape{1, 8, 8, 8, 16});
   EXPECT_EQ(conv.param_count(), 32 * 16 * 27 + 32);
 }
 
 TEST(Conv3d, GradsAccumulateAcrossBackwardCalls) {
   Conv3d conv("c", Conv3dConfig{16, 16, 3, 1, Padding::kSame});
-  plan_single(conv, Shape{1, 4, 4, 4, 16});
+  conv.plan(Shape{1, 4, 4, 4, 16});
   runtime::Rng rng(3);
   conv.init_he(rng);
   StandaloneExec exec(conv);
@@ -241,7 +241,7 @@ TEST(Conv3d, GradsAccumulateAcrossBackwardCalls) {
 TEST(Conv3dGradCheck, WeightsAndBiasAndData) {
   const Conv3dConfig config{16, 16, 3, 2, Padding::kSame};
   Conv3d conv("c", config);
-  plan_single(conv, Shape{1, 5, 5, 5, 16});
+  conv.plan(Shape{1, 5, 5, 5, 16});
   StandaloneExec exec(conv);
   runtime::ThreadPool pool(2);
   runtime::Rng rng(11);

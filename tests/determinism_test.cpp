@@ -30,7 +30,7 @@ TEST_P(ConvThreadInvariance, ForwardAndBackwardBitIdentical) {
 
   const auto run = [&](int nthreads) {
     dnn::Conv3d conv("conv", config);
-    dnn::plan_single(conv, Shape{1, 6, 6, 6, 16});
+    conv.plan(Shape{1, 6, 6, 6, 16});
     runtime::Rng rng(3);
     conv.init_he(rng);
     dnn::StandaloneExec exec(conv);

@@ -63,13 +63,13 @@ TEST_P(FusedConvVsUnfused, ForwardAndBackwardBitIdentical) {
   const Shape in_shape = plain.input_is_plain()
                              ? plain_src.shape()
                              : Shape{c.ic / 16, c.dhw, c.dhw, c.dhw, 16};
-  dnn::plan_single(plain, in_shape);
-  dnn::plan_single(fused, in_shape);
+  plain.plan(in_shape);
+  fused.plan(in_shape);
   plain.set_plain_weights(weights, bias);
   fused.set_plain_weights(weights, bias);
 
   dnn::LeakyRelu act("act", kSlope);
-  dnn::plan_single(act, plain.output_shape());
+  act.plan(plain.output_shape());
   dnn::StandaloneExec plain_exec(plain);
   dnn::StandaloneExec fused_exec(fused);
   dnn::StandaloneExec act_exec(act);
@@ -132,8 +132,8 @@ TEST(FusedDenseVsUnfused, ForwardAndBackwardBitIdentical) {
     dnn::Dense plain("fc", in, out);
     dnn::Dense fused("fc", in, out);
     ASSERT_TRUE(fused.fuse_leaky_relu(kSlope));
-    dnn::plan_single(plain, Shape{in});
-    dnn::plan_single(fused, Shape{in});
+    plain.plan(Shape{in});
+    fused.plan(Shape{in});
     runtime::Rng rng(7, static_cast<std::uint64_t>(in));
     plain.init_xavier(rng);
     fused.weights() = plain.weights().clone();
@@ -146,7 +146,7 @@ TEST(FusedDenseVsUnfused, ForwardAndBackwardBitIdentical) {
     tensor::fill_normal(src, rng, 0.0f, 1.0f);
 
     dnn::LeakyRelu act("act", kSlope);
-    dnn::plan_single(act, Shape{out});
+    act.plan(Shape{out});
     dnn::StandaloneExec act_exec(act);
     Tensor fc_out{Shape{out}}, act_out{Shape{out}}, fused_out{Shape{out}};
     plain_exec.forward(src, fc_out, pool);

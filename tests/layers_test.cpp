@@ -38,7 +38,7 @@ TEST_P(AvgPoolVsReference, ForwardMatches) {
 
   AvgPool3d layer("pool", AvgPool3dConfig{c.kernel, c.stride});
   const Tensor src = tensor::to_blocked_activation(plain);
-  plan_single(layer, src.shape());
+  layer.plan(src.shape());
   StandaloneExec exec(layer);
   Tensor dst(layer.output_shape());
   exec.forward(src, dst, pool);
@@ -68,7 +68,7 @@ TEST(AvgPool3d, BackwardDistributesMassExactly) {
   runtime::Rng rng(22);
   runtime::ThreadPool pool(2);
   AvgPool3d layer("pool", AvgPool3dConfig{2, 2});
-  plan_single(layer, Shape{1, 6, 6, 6, 16});
+  layer.plan(Shape{1, 6, 6, 6, 16});
   StandaloneExec exec(layer);
   Tensor src(layer.input_shape());
   Tensor dst(layer.output_shape());
@@ -83,7 +83,7 @@ TEST(AvgPool3d, BackwardGradCheck) {
   runtime::Rng rng(23);
   runtime::ThreadPool pool(2);
   AvgPool3d layer("pool", AvgPool3dConfig{3, 2});
-  plan_single(layer, Shape{1, 7, 7, 7, 16});
+  layer.plan(Shape{1, 7, 7, 7, 16});
   StandaloneExec exec(layer);
   Tensor src(layer.input_shape());
   tensor::fill_normal(src, rng, 0.0f, 1.0f);
@@ -115,13 +115,13 @@ TEST(AvgPool3d, BackwardGradCheck) {
 
 TEST(AvgPool3d, RejectsPlainInput) {
   AvgPool3d layer("pool", AvgPool3dConfig{2, 2});
-  EXPECT_THROW(plan_single(layer, Shape{16, 8, 8, 8}),
+  EXPECT_THROW(layer.plan(Shape{16, 8, 8, 8}),
                std::invalid_argument);
 }
 
 TEST(Dense, ForwardMatchesManualGemv) {
   Dense layer("fc", 3, 2);
-  plan_single(layer, Shape{3});
+  layer.plan(Shape{3});
   // w(i, o): rows are inputs.
   layer.weights() = Tensor(Shape{3, 2}, std::vector<float>{1, 2,   //
                                                            3, 4,   //
@@ -139,7 +139,7 @@ TEST(Dense, GradCheck) {
   runtime::Rng rng(31);
   runtime::ThreadPool pool(2);
   Dense layer("fc", 20, 7);
-  plan_single(layer, Shape{20});
+  layer.plan(Shape{20});
   layer.init_xavier(rng);
   StandaloneExec exec(layer);
 
@@ -196,7 +196,7 @@ TEST(Dense, ForwardWorkspaceIsCheckedAndZeroedEachCall) {
   runtime::Rng rng(33);
   runtime::ThreadPool pool(2);
   Dense layer("fc", 40, 9);
-  plan_single(layer, Shape{40});
+  layer.plan(Shape{40});
   layer.init_xavier(rng);
   Tensor src(Shape{40});
   tensor::fill_normal(src, rng, 0.0f, 1.0f);
@@ -220,14 +220,14 @@ TEST(Dense, ForwardWorkspaceIsCheckedAndZeroedEachCall) {
 
 TEST(Dense, FlopAndParamCounts) {
   Dense layer("fc", 100, 30);
-  plan_single(layer, Shape{100});
+  layer.plan(Shape{100});
   EXPECT_EQ(layer.flops().fwd, 2 * 100 * 30);
   EXPECT_EQ(layer.param_count(), 100 * 30 + 30);
 }
 
 TEST(LeakyRelu, ForwardAppliesSlope) {
   LeakyRelu layer("act", 0.1f);
-  plan_single(layer, Shape{4});
+  layer.plan(Shape{4});
   runtime::ThreadPool pool(1);
   Tensor src(Shape{4}, std::vector<float>{-2.0f, -0.5f, 0.0f, 3.0f});
   Tensor dst(Shape{4});
@@ -240,7 +240,7 @@ TEST(LeakyRelu, ForwardAppliesSlope) {
 
 TEST(LeakyRelu, BackwardUsesInputSign) {
   LeakyRelu layer("act", 0.25f);
-  plan_single(layer, Shape{3});
+  layer.plan(Shape{3});
   runtime::ThreadPool pool(1);
   Tensor src(Shape{3}, std::vector<float>{-1.0f, 2.0f, -3.0f});
   Tensor ddst(Shape{3}, std::vector<float>{1.0f, 1.0f, 2.0f});
@@ -265,7 +265,7 @@ TEST(Flatten, MatchesPlainFlattening) {
   const Tensor blocked = tensor::to_blocked_activation(plain);
 
   Flatten layer("flat", 32);
-  plan_single(layer, blocked.shape());
+  layer.plan(blocked.shape());
   EXPECT_EQ(layer.output_shape(), Shape({32 * 3 * 4 * 5}));
   Tensor dst(layer.output_shape());
   StandaloneExec(layer).forward(blocked, dst, pool);
@@ -276,7 +276,7 @@ TEST(Flatten, BackwardRestoresBlockedLayout) {
   runtime::Rng rng(42);
   runtime::ThreadPool pool(2);
   Flatten layer("flat", 16);
-  plan_single(layer, Shape{1, 2, 2, 2, 16});
+  layer.plan(Shape{1, 2, 2, 2, 16});
   StandaloneExec exec(layer);
   Tensor ddst(layer.output_shape());
   tensor::fill_normal(ddst, rng, 0.0f, 1.0f);
@@ -293,7 +293,7 @@ TEST(Flatten, BackwardRestoresBlockedLayout) {
 
 TEST(Flatten, RejectsChannelMismatch) {
   Flatten layer("flat", 32);
-  EXPECT_THROW(plan_single(layer, Shape{1, 2, 2, 2, 16}),
+  EXPECT_THROW(layer.plan(Shape{1, 2, 2, 2, 16}),
                std::invalid_argument);
 }
 

@@ -124,7 +124,7 @@ TEST(MemplanCoverage, ConvGatherBackwardIgnoresStaleDsrc) {
     const std::int64_t kernel = c.kernel;
     const std::int64_t stride = c.stride;
     dnn::Conv3d conv("c", dnn::Conv3dConfig{16, 16, kernel, stride, c.pad});
-    dnn::plan_single(conv, Shape{1, 8, 8, 8, kB});
+    conv.plan(Shape{1, 8, 8, 8, kB});
     runtime::Rng rng(17, static_cast<std::uint64_t>(kernel * 10 + stride));
     conv.init_he(rng);
     dnn::StandaloneExec exec(conv);
@@ -198,7 +198,7 @@ TEST(MemplanCoverage, PoolBackwardGapsTailsAndStaleDsrc) {
   for (const Case& c : {Case{2, 2, 8}, Case{2, 3, 8}, Case{3, 3, 10},
                         Case{2, 2, 9}, Case{3, 2, 8}}) {
     dnn::AvgPool3d layer("p", dnn::AvgPool3dConfig{c.kernel, c.stride});
-    dnn::plan_single(layer, Shape{2, c.in, c.in, c.in, kB});
+    layer.plan(Shape{2, c.in, c.in, c.in, kB});
     runtime::ThreadPool pool(3);
     runtime::Rng rng(23, static_cast<std::uint64_t>(c.kernel * 100 + c.in));
     Tensor src(layer.input_shape());

@@ -1,10 +1,12 @@
 // Network container tests: wiring, flat parameter interface, error
-// handling, and an end-to-end gradient check through a full conv ->
-// pool -> dense stack.
+// handling, and end-to-end gradient checks through a full conv ->
+// pool -> dense stack and through a fused, planned build_network chain.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "core/topology.hpp"
 #include "dnn/activations.hpp"
 #include "dnn/avgpool3d.hpp"
 #include "dnn/conv3d.hpp"
@@ -181,6 +183,64 @@ TEST(Network, EndToEndGradientCheck) {
   }
   EXPECT_GE(checked, 10);
   net.set_params_from(params);
+}
+
+TEST(Network, GradientMatchesFiniteDifferences) {
+  // The whole backward of a stock preset — fused and memory-planned, as
+  // every workload builds it — against central finite differences.
+  Network net = core::build_network(core::cosmoflow_scaled(8), 7);
+  ASSERT_GT(net.fused_pairs(), 0u);
+  ASSERT_TRUE(net.memory_planning());
+  Tensor input(net.input_shape());
+  runtime::Rng input_rng(23);
+  tensor::fill_normal(input, input_rng, 0.0f, 1.0f);
+  const std::size_t out_n =
+      static_cast<std::size_t>(net.output_shape().numel());
+  std::vector<float> w(out_n);
+  runtime::Rng w_rng(29);
+  for (float& x : w) x = w_rng.normal(0.0f, 1.0f);
+  runtime::ThreadPool pool(1);
+
+  // L(theta) = sum_k w_k out_k(theta, x), accumulated in double.
+  const auto loss = [&]() {
+    ExecContext ctx = net.make_context(ExecMode::kInference);
+    const Tensor& out = ctx.forward(input, pool);
+    double acc = 0.0;
+    for (std::size_t k = 0; k < out_n; ++k) {
+      acc += static_cast<double>(w[k]) *
+             static_cast<double>(out.data()[k]);
+    }
+    return acc;
+  };
+
+  ExecContext ctx = net.make_context(ExecMode::kTraining);
+  ctx.forward(input, pool);
+  Tensor dloss(net.output_shape());
+  std::copy(w.begin(), w.end(), dloss.data());
+  ctx.zero_grads();
+  ctx.backward(dloss, pool);
+  std::vector<float> grads(net.param_arena().size());
+  ctx.copy_grads_to(grads);
+
+  std::span<float> params = net.param_arena();
+  const std::size_t stride = params.size() / 25 + 1;
+  // The probe of conv2's param 5905 sits within 1e-3 of a LeakyRelu
+  // kink: a step of 1e-3 or more straddles it, and the difference
+  // quotient then mixes the two slopes. 3e-4 clears it, and is still
+  // far above the fp32 rounding noise of the loss.
+  const float eps = 3e-4f;
+  for (std::size_t i = 0; i < params.size(); i += stride) {
+    const float saved = params[i];
+    params[i] = saved + eps;
+    const double up = loss();
+    params[i] = saved - eps;
+    const double down = loss();
+    params[i] = saved;
+    const double fd = (up - down) / (2.0 * static_cast<double>(eps));
+    const double g = static_cast<double>(grads[i]);
+    const double tol = 1e-3 + 0.05 * std::max(std::abs(g), std::abs(fd));
+    EXPECT_NEAR(g, fd, tol) << "param " << i;
+  }
 }
 
 TEST(Network, FlopAggregationMatchesLayerSum) {

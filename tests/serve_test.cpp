@@ -203,16 +203,13 @@ class ThrowOnSentinel final : public dnn::Layer {
 
   ThrowOnSentinel() : Layer("throw_on_sentinel") {}
   std::string kind() const override { return "activation"; }
-  tensor::Shape plan(std::span<const tensor::Shape> inputs) override {
-    check_inputs(inputs.size());
-    set_shapes(inputs[0], inputs[0]);
-    return inputs[0];
+  tensor::Shape plan(const tensor::Shape& input) override {
+    set_shapes(input, input);
+    return input;
   }
 
-  void forward(dnn::Inputs srcs, Tensor& dst, dnn::LayerExecState&,
+  void forward(const Tensor& src, Tensor& dst, dnn::LayerExecState&,
                runtime::ThreadPool&) const override {
-    check_inputs(srcs.size());
-    const Tensor& src = *srcs[0];
     if (src.data()[0] == kSentinel) {
       throw std::runtime_error("sentinel request");
     }
@@ -220,8 +217,8 @@ class ThrowOnSentinel final : public dnn::Layer {
       dst.data()[i] = 2.0f * src.data()[i];
     }
   }
-  void backward_data(dnn::Inputs, const Tensor&, const Tensor&,
-                     dnn::InputGrads, dnn::LayerExecState&,
+  void backward_data(const Tensor&, const Tensor&, const Tensor&, Tensor&,
+                     dnn::LayerExecState&,
                      runtime::ThreadPool&) const override {
     throw std::logic_error("ThrowOnSentinel: inference only");
   }
